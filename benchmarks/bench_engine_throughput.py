@@ -16,7 +16,7 @@ Usage::
 ``--check`` runs only the small fixed probe cell (well under a second),
 compares its throughput against the probe entry recorded in
 ``BENCH_engine.json``, and also smokes the columnar outcome pipeline
-(outcome-table build + metric reductions on the probe's data), the
+(metric reductions over the probe's outcome table), the
 serving control plane (instance-pool transitions, scaling-policy
 decisions, work-queue ticket cycling), the study layer
 (``ResultFrame`` build over per-cell reductions + where/pivot/to_rows
@@ -96,26 +96,16 @@ def run_cell(workload_name: str, scale: float, repeats: int = 1,
 def run_columnar_probe(result) -> dict:
     """Smoke the columnar pipeline on one run's data.
 
-    Times (a) building an ``OutcomeTable`` from materialised outcome
-    objects and (b) the vectorised metric reductions (success ratio,
-    latency stats, cold-start ratio) over the table — the two halves of
-    the columnar data plane.  Reported as rows/s so the ``--check`` gate
-    can flag a regression in either half; both run in well under 100 ms.
+    Times the vectorised metric reductions (success ratio, latency
+    stats, cold-start ratio) over the run's outcome table.  Reported as
+    rows/s so the ``--check`` gate can flag a regression; it runs in
+    well under 100 ms.
     """
     from repro.core.metrics import LatencyStats  # noqa: E402
-    from repro.serving.outcome_table import OutcomeTable  # noqa: E402
-
-    outcomes = result.table.to_outcomes()
-    # Best-of-N timing (like run_cell): these loops are millisecond-scale,
-    # so a single scheduler stall would otherwise read as a regression.
-    build_s = None
-    for _ in range(5):
-        started = time.perf_counter()
-        OutcomeTable.from_outcomes(outcomes)
-        elapsed = time.perf_counter() - started
-        build_s = elapsed if build_s is None else min(build_s, elapsed)
 
     table = result.table
+    # Best-of-N timing (like run_cell): these loops are millisecond-scale,
+    # so a single scheduler stall would otherwise read as a regression.
     reduce_s = None
     for _ in range(5):
         started = time.perf_counter()
@@ -129,7 +119,6 @@ def run_columnar_probe(result) -> dict:
         reduce_s = elapsed if reduce_s is None else min(reduce_s, elapsed)
     return {
         "requests": table.count,
-        "build_rows_per_s": round(table.count / build_s, 1),
         "reduce_rows_per_s": round(table.count / reduce_s, 1),
     }
 
@@ -441,7 +430,6 @@ def run_streaming_probe(rows: int = 200_000) -> dict:
     recorder = None
     for _ in range(3):
         recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows,
-                                          keep_chunks=False,
                                           seal_lag_s=1.0)
         outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
         started = time.perf_counter()
@@ -576,8 +564,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
           f"(spill ratio {hybrid['spill_ratio']:g})")
     print(f" routing       {routing['cycles_per_s']:>13,.0f} cycles/s "
           f"({routing['breaker_trips']} breaker trips)")
-    print(f" columnar build {columnar['build_rows_per_s']:>12,.0f} rows/s "
-          f"reduce {columnar['reduce_rows_per_s']:>14,.0f} rows/s")
+    print(f" columnar reduce {columnar['reduce_rows_per_s']:>11,.0f} rows/s")
     print(f" control plane {control['cycles_per_s']:>13,.0f} cycles/s")
     print(f" result frame  {frame['build_cells_per_s']:>10,.0f} cells/s "
           f"query {frame['query_ops_per_s']:>10,.0f} ops/s")
@@ -613,8 +600,8 @@ def run_check(path: str) -> int:
     """CI smoke gate: fail if any probe regressed > CHECK_TOLERANCE.
 
     Gates both the simulation hot path (requests/s on the fixed probe
-    cell) and the columnar pipeline (outcome-table build and metric
-    reduction rows/s).  Total runtime stays under a second.
+    cell) and the columnar pipeline (metric reduction rows/s), plus the
+    other recorded probes.  Total runtime stays under a second.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -635,9 +622,6 @@ def run_check(path: str) -> int:
     columnar_reference = recorded.get("columnar_probe")
     if columnar_reference:
         columnar = run_columnar_probe(keep[0])
-        checks.append(("columnar build rows/s",
-                       columnar["build_rows_per_s"],
-                       columnar_reference["build_rows_per_s"]))
         checks.append(("columnar reduce rows/s",
                        columnar["reduce_rows_per_s"],
                        columnar_reference["reduce_rows_per_s"]))

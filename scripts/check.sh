@@ -6,7 +6,7 @@
 #   scripts/check.sh --docs   the above plus the docs build/validation
 #
 # The perf gate is benchmarks/bench_engine_throughput.py --check: the
-# fixed simulation probe cell, the columnar build/reduce probes, the
+# fixed simulation probe cell, the columnar reduce probe, the
 # control-plane (pool / policy / queue) probe, the study-layer
 # (ResultFrame build/query) probe, the replicated-frame (group_by
 # collapse) probe, the fault-injection probe (the probe cell under

@@ -68,6 +68,7 @@ from repro.platforms.routing import (
     choose_weighted,
 )
 from repro.platforms.hybrid import HybridMeter, HybridServingPlatform
+from repro.serving.outcome_table import OutcomeReductions
 from repro.serving.records import (
     SERVED_BY_DIRECT,
     SERVED_BY_NAMES,
@@ -118,6 +119,7 @@ __all__ = [
     "NavigationConstraints",
     "NavigationResult",
     "OutageWindow",
+    "OutcomeReductions",
     "OutcomeSummary",
     "ResultFrame",
     "RetryPolicy",

@@ -80,12 +80,10 @@ class ServingBenchmark:
         )
         total_requests = sum(len(trace)
                              for trace in workload.client_traces)
-        streaming = (getattr(workload, "streamed", False)
-                     or total_requests >= self.streaming_threshold)
-        if streaming:
+        if (getattr(workload, "streamed", False)
+                or total_requests >= self.streaming_threshold):
             recorder = ChunkedOutcomeRecorder(
                 chunk_rows=self.chunk_rows,
-                keep_chunks=False,
                 seal_lag_s=self.drain_timeout_s + 50.0,
             )
         else:
@@ -96,19 +94,12 @@ class ServingBenchmark:
         executor.execute(until=horizon)
         end_time = max(executor.last_completion_time, workload.trace.duration)
         usage = platform.finalize(end_time=end_time)
-        metadata = {"events_processed": float(env.events_processed)}
-        if streaming:
-            # Fold the tail (failing still-open requests at the horizon,
-            # exactly like fail_unfinished on the full path).
-            table = recorder.finalize(horizon)
-            metadata["peak_resident_chunks"] = float(
-                recorder.peak_resident_chunks)
-            metadata["chunks_folded"] = float(table.chunks_folded)
-        else:
-            table = recorder.table()
-            # Requests still open when the horizon was reached failed,
-            # in bulk.
-            table.fail_unfinished(horizon)
+        # Requests still open when the horizon was reached fail, in bulk.
+        table = recorder.finalize(horizon)
+        metadata = {"events_processed": float(env.events_processed),
+                    **recorder.run_metadata()}
+        _check_agreement(deployment, workload, usage, table, total_requests,
+                         executor.batched_surplus)
         return RunResult(
             deployment=deployment,
             workload_name=workload.name,
@@ -224,3 +215,28 @@ class ServingBenchmark:
                                              workload_scale)
                 for workload in workloads}
 
+
+def _check_agreement(deployment: Deployment, workload: Workload,
+                     usage, table, total_requests: int,
+                     batched_surplus: int) -> None:
+    """Raise unless a finished run's ledger and outcomes agree.
+
+    Two integer compares per cell: the platform's ``completed`` ledger
+    bucket equals the recorded success count, and the outcome store
+    holds one row per issued request.  The ledger counts a client-side
+    batch as one request, so the executor's ``batched_surplus`` (the
+    extra members of successful batches) is added back first.
+    """
+    completed = usage.notes.get("completed")
+    problems = []
+    if completed is None or (completed + batched_surplus
+                             != table.success_count):
+        problems.append(f"ledger completed={completed} (+{batched_surplus} "
+                        f"batched) but {table.success_count} successful "
+                        f"outcomes")
+    if table.count != total_requests:
+        problems.append(f"{table.count} outcome rows for "
+                        f"{total_requests} issued requests")
+    if problems:
+        raise RuntimeError(f"{deployment.label}@{workload.name}: "
+                           + "; ".join(problems))

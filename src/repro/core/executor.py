@@ -8,16 +8,17 @@ the Figure 12c/12d micro-benchmark knobs (samples per request, inferences
 per request) are applied here because they are client decisions, not
 platform ones.
 
-Outcomes are recorded columnar: every issued request is registered with a
-preallocated :class:`~repro.serving.outcome_table.OutcomeRecorder` (sized
-from the workload's known request count) and committed into the arrays
-the moment it completes, so the per-request Python objects only live
-while their request is in flight.
+Outcomes are recorded columnar: every issued request is registered with
+the run's recorder (a preallocated
+:class:`~repro.serving.outcome_table.OutcomeRecorder`, or the streaming
+chunk ring) and committed into its columns the moment it completes, so
+the per-request Python objects only live while their request is in
+flight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.faults import RetryPolicy
@@ -45,6 +46,9 @@ class Executor:
     recorder: Optional[OutcomeRecorder] = None
     _next_request_id: int = 0
     _last_completion: float = 0.0
+    #: Successful requests beyond one per successful batch invocation:
+    #: the platform ledger counts a client-side batch as one request.
+    batched_surplus: int = field(default=0, init=False)
     _commit = None  # bound recorder.commit, cached for the hot callback
     #: Client-side retry policy (None unless the config enables retries).
     _retry: Optional[RetryPolicy] = None
@@ -57,10 +61,10 @@ class Executor:
     def execute(self, until: Optional[float] = None) -> OutcomeRecorder:
         """Run the experiment to completion and return the recorder.
 
-        The recorder-returning form exists for the streaming path: a
-        :class:`~repro.serving.streaming.ChunkedOutcomeRecorder` in
-        streaming mode has no ``table()`` — the benchmark calls its
-        ``finalize()`` instead.  Any pre-set ``self.recorder`` with the
+        The caller reads the run through the recorder's ``finalize()``
+        (both recorders have one; the streaming
+        :class:`~repro.serving.streaming.ChunkedOutcomeRecorder` has no
+        ``table()``).  Any pre-set ``self.recorder`` with the
         ``register``/``commit`` write API is used as-is; otherwise a
         preallocated recorder sized to the workload is created.
         """
@@ -75,13 +79,6 @@ class Executor:
             self.env.process(self._client(client_id, trace))
         self.env.run(until=until)
         return self.recorder
-
-    @property
-    def outcomes(self) -> List[RequestOutcome]:
-        """Materialised outcome objects (compat view over the table)."""
-        if self.recorder is None:
-            return []
-        return self.recorder.table().to_outcomes()
 
     @property
     def last_completion_time(self) -> float:
@@ -200,6 +197,8 @@ class Executor:
         payload = self._payload_mb() * len(batch)
         response = self.platform.model.output_payload_mb * len(batch)
         yield self.platform.submit(carrier, payload, response)
+        if carrier.success:
+            self.batched_surplus += len(batch) - 1
         for member in batch:
             member.cold_start = carrier.cold_start
             member.instance_id = carrier.instance_id

@@ -1,29 +1,24 @@
 """Run results: the raw material the analyzer works on.
 
-A :class:`RunResult` carries its outcomes as a columnar
-:class:`~repro.serving.outcome_table.OutcomeTable`; every headline metric
-is a vectorised masked reduction over the table's arrays.  The
-object-per-request view (``outcomes`` / ``successful`` / ``failed``) is
-reconstructed lazily and cached, purely for API compatibility — metric
-code should prefer the columns.
-
-Trace-scale (streaming) runs carry an
-:class:`~repro.serving.streaming.OutcomeSummary` instead — the online
-reduction of the chunks that were folded during the run.  Headline
-metrics come straight from the summary's accumulators; the per-request
-views are unavailable by construction (the rows no longer exist).
+A :class:`RunResult` carries its outcomes in one of the two outcome
+stores: a columnar :class:`~repro.serving.outcome_table.OutcomeTable`,
+or, for trace-scale (streaming) runs, the
+:class:`~repro.serving.streaming.OutcomeSummary` their chunks folded
+into.  Both answer through the one reduction surface,
+:class:`~repro.serving.outcome_table.OutcomeReductions`, so every
+headline metric here simply asks ``result.table``; nothing depends on
+which store holds the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.core.metrics import LatencyStats
 from repro.platforms.base import PlatformUsage
 from repro.serving.deployment import Deployment
 from repro.serving.outcome_table import OutcomeTable
-from repro.serving.records import RequestOutcome
 from repro.serving.streaming import OutcomeSummary
 
 __all__ = ["RunResult"]
@@ -37,54 +32,20 @@ class RunResult:
     workload_name: str
     #: Columnar per-request outcomes — or, for streaming (trace-scale)
     #: runs, the :class:`OutcomeSummary` their folded chunks reduced
-    #: into.  A plain list of :class:`RequestOutcome` is also accepted
-    #: and converted on the spot.
-    table: Union[OutcomeTable, OutcomeSummary, List[RequestOutcome]]
+    #: into.  Both expose the same reductions.
+    table: Union[OutcomeTable, OutcomeSummary]
     usage: PlatformUsage
     #: Simulated wall-clock length of the experiment (last completion).
     duration_s: float
     #: Fraction of the paper's full workload that was replayed (1.0 = full).
     workload_scale: float = 1.0
     metadata: Dict[str, float] = field(default_factory=dict)
-    _outcomes_view: Optional[List[RequestOutcome]] = field(
-        default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.table, (OutcomeTable, OutcomeSummary)):
-            self.table = OutcomeTable.from_outcomes(list(self.table))
-
-    # -- backend ---------------------------------------------------------------
     @property
     def streaming(self) -> bool:
         """True when this result carries an :class:`OutcomeSummary`
         (streaming reductions) instead of a full outcome table."""
         return isinstance(self.table, OutcomeSummary)
-
-    # -- object views (lazy, for API compatibility) ----------------------------
-    @property
-    def outcomes(self) -> List[RequestOutcome]:
-        """Per-request outcome objects, reconstructed from the table.
-
-        Unavailable on streaming results — the per-request rows were
-        folded into the summary and discarded during the run.
-        """
-        if self.streaming:
-            raise RuntimeError(
-                "streaming results carry an OutcomeSummary, not per-request "
-                "rows; use the summary reductions (result.table) instead")
-        if self._outcomes_view is None:
-            self._outcomes_view = self.table.to_outcomes()
-        return self._outcomes_view
-
-    @property
-    def successful(self) -> List[RequestOutcome]:
-        """Outcomes of the requests that succeeded."""
-        return [o for o in self.outcomes if o.success]
-
-    @property
-    def failed(self) -> List[RequestOutcome]:
-        """Outcomes of the requests that failed."""
-        return [o for o in self.outcomes if not o.success]
 
     # -- headline metrics -----------------------------------------------------
     @property
@@ -95,22 +56,12 @@ class RunResult:
     @property
     def success_ratio(self) -> float:
         """Fraction of requests that succeeded (the paper's SR metric)."""
-        if self.streaming:
-            return self.table.success_ratio
-        count = self.table.count
-        if count == 0:
-            return 0.0
-        return int(self.table.success.sum()) / count
+        return self.table.success_ratio
 
     @property
     def average_latency(self) -> float:
         """Mean end-to-end latency of the *successful* requests (paper metric)."""
-        if self.streaming:
-            return self.table.average_latency
-        latencies = self.table.successful_latencies()
-        if latencies.size == 0:
-            return 0.0
-        return float(latencies.mean())
+        return self.table.average_latency
 
     @property
     def cost(self) -> float:
@@ -120,13 +71,7 @@ class RunResult:
     @property
     def cold_start_ratio(self) -> float:
         """Fraction of successful requests served by a cold instance."""
-        if self.streaming:
-            return self.table.cold_start_ratio
-        success = self.table.success
-        n_success = int(success.sum())
-        if n_success == 0:
-            return 0.0
-        return int(self.table.cold_start[success].sum()) / n_success
+        return self.table.cold_start_ratio
 
     def latency_stats(self) -> LatencyStats:
         """Distributional statistics over successful-request latencies.
@@ -134,9 +79,7 @@ class RunResult:
         Streaming results serve quantiles from the latency sketch
         (accurate to ~0.4 %); full tables compute them exactly.
         """
-        if self.streaming:
-            return self.table.latency_stats()
-        return LatencyStats.from_values(self.table.successful_latencies())
+        return self.table.latency_stats()
 
     # -- transport -------------------------------------------------------------
     def to_transport(self) -> Tuple:
@@ -145,13 +88,11 @@ class RunResult:
         The deployment object is the one piece of a result the parent
         already holds (it shipped it to the worker in the first place),
         and the only piece that is an arbitrary object graph; everything
-        else is the packed outcome columns (see
-        :meth:`OutcomeTable.packed`) and small dicts.  Streaming results
-        ship the :class:`OutcomeSummary` itself — it is already a small
-        fixed-size reduction, the whole point of streaming.
+        else is the packed outcome store (see :meth:`OutcomeTable.packed`;
+        an :class:`OutcomeSummary` packs to itself, being already a small
+        fixed-size reduction) and small dicts.
         """
-        payload = (self.table if self.streaming else self.table.packed())
-        return (self.workload_name, payload, self.usage,
+        return (self.workload_name, self.table.packed(), self.usage,
                 self.duration_s, self.workload_scale, self.metadata)
 
     @classmethod

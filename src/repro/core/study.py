@@ -50,10 +50,10 @@ from typing import (
 
 import numpy as np
 
-from repro.core.metrics import LatencyStats
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec
 from repro.serving.deployment import PlatformKind, ServiceConfig
+from repro.serving.records import SERVED_BY_PROVISIONED, SERVED_BY_SPILL
 
 __all__ = [
     "Sweep",
@@ -556,76 +556,36 @@ STANDARD_METRIC_COLUMNS: Tuple[str, ...] = (
 def _standard_metrics(result: RunResult) -> Dict[str, object]:
     """The per-cell reductions every frame carries.
 
-    Computed directly as masked numpy reductions over the cell's
-    :class:`~repro.serving.outcome_table.OutcomeTable` columns; the
-    study tests assert them equal to the corresponding
-    :class:`~repro.core.results.RunResult` properties.  Streaming cells
-    (those carrying an :class:`~repro.serving.streaming.OutcomeSummary`)
-    serve the same keys from the summary's online reductions.
+    Served from the cell's outcome store through the shared reduction
+    surface (:class:`~repro.serving.outcome_table.OutcomeReductions`),
+    so table-backed and streaming cells fill the same keys the same way.
     """
     usage = result.usage
-    if result.streaming:
-        summary = result.table
-        stats = summary.latency_stats()
-        metrics = {
-            "requests": summary.count,
-            "success_ratio": summary.success_ratio,
-            "avg_latency_s": summary.average_latency,
-            "p50_latency_s": stats.p50,
-            "p99_latency_s": stats.p99,
-            "std_latency_s": stats.std,
-            "cost_usd": usage.cost,
-            "cold_starts": usage.cold_starts,
-            "cold_start_ratio": summary.cold_start_ratio,
-            "instances_created": usage.instances_created,
-            "peak_instances": usage.peak_instances,
-            "duration_s": result.duration_s,
-        }
-        _add_hybrid_metrics(metrics, result, summary)
-        return metrics
     table = result.table
-    count = table.count
-    success = table.success
-    n_success = int(success.sum())
-    latencies = table.latency[success]
-    stats = LatencyStats.from_values(latencies)
+    stats = table.latency_stats()
     metrics = {
-        "requests": count,
-        "success_ratio": (n_success / count) if count else 0.0,
-        "avg_latency_s": float(latencies.mean()) if n_success else 0.0,
+        "requests": table.count,
+        "success_ratio": table.success_ratio,
+        "avg_latency_s": table.average_latency,
         "p50_latency_s": stats.p50,
         "p99_latency_s": stats.p99,
         "std_latency_s": stats.std,
         "cost_usd": usage.cost,
         "cold_starts": usage.cold_starts,
-        "cold_start_ratio": (int(table.cold_start[success].sum()) / n_success
-                             if n_success else 0.0),
+        "cold_start_ratio": table.cold_start_ratio,
         "instances_created": usage.instances_created,
         "peak_instances": usage.peak_instances,
         "duration_s": result.duration_s,
     }
-    _add_hybrid_metrics(metrics, result, table)
+    if result.deployment.config.platform == PlatformKind.HYBRID:
+        # Per-path columns (``cost_usd`` is already blended).  Only hybrid
+        # cells populate ``served_by``, so frames over non-hybrid sweeps
+        # keep their exact pre-hybrid column set.
+        metrics["spill_ratio"] = table.spill_ratio()
+        metrics["provisioned_latency_s"] = table.path_latency_mean(
+            SERVED_BY_PROVISIONED)
+        metrics["spill_latency_s"] = table.path_latency_mean(SERVED_BY_SPILL)
     return metrics
-
-
-def _add_hybrid_metrics(metrics: Dict[str, object], result: RunResult,
-                        table) -> None:
-    """Per-path columns for hybrid cells (``cost_usd`` is already blended).
-
-    Only hybrid cells carry them — other platforms never populate the
-    ``served_by`` outcome column, so frames over non-hybrid sweeps keep
-    their exact pre-hybrid column set.  Both recording paths
-    (:class:`~repro.serving.outcome_table.OutcomeTable` and the
-    streaming :class:`~repro.serving.streaming.OutcomeSummary`) expose
-    the same two reductions.
-    """
-    from repro.serving.records import SERVED_BY_PROVISIONED, SERVED_BY_SPILL
-    if result.deployment.config.platform != PlatformKind.HYBRID:
-        return
-    metrics["spill_ratio"] = table.spill_ratio()
-    metrics["provisioned_latency_s"] = table.path_latency_mean(
-        SERVED_BY_PROVISIONED)
-    metrics["spill_latency_s"] = table.path_latency_mean(SERVED_BY_SPILL)
 
 
 def _as_scalar(value):

@@ -1,49 +1,188 @@
-"""Columnar (struct-of-arrays) request outcomes.
+"""Columnar request outcomes and the one reduction surface.
 
-The simulation's data plane used to be a ``List[RequestOutcome]`` — one
-Python object plus one breakdown dict per request, walked by list
-comprehensions for every metric and re-pickled wholesale through the
-process pool.  :class:`OutcomeTable` replaces that with numpy columns:
-every metric becomes a masked reduction, result transport shrinks to a
-handful of compact arrays, and the per-request objects only live while
-their request is in flight.
+Every run records its outcomes as numpy columns (struct of arrays): one
+row per issued request, written by :class:`OutcomeRecorder` and read as
+an :class:`OutcomeTable`.  Trace-scale runs fold the same columns, chunk
+by chunk, into a :class:`~repro.serving.streaming.OutcomeSummary`
+instead of keeping them resident.
 
-:class:`OutcomeRecorder` is the write side: preallocated to the
-workload's known request count, it captures a request's issue-time
-fields when the executor creates it and the completion-time fields when
-the platform finishes it, after which the Python object is garbage.
+Both stores answer the same questions through one surface,
+:class:`OutcomeReductions`.  Each store supplies a few primitives: the
+request count, tallies (successes, cold successes, attempts, degraded
+and spilled requests), successes within a latency target, and the
+per-bin success timeline.  Every ratio, the SLO attainment,
+``availability`` and ``time_to_recover`` are defined once over those
+primitives.  Only the latency reductions (mean, distribution, per-path
+mean) differ by store: the table reduces the exact column, the summary
+its running sums and :class:`~repro.serving.streaming.LatencySketch`.
 
-``RequestOutcome`` remains the in-flight representation (platforms
-mutate it incrementally) and the API-compatibility view:
-:meth:`OutcomeTable.to_outcomes` reconstructs equivalent objects on
-demand.  Reconstruction drops breakdown stages whose accumulated value
-is exactly 0.0 (the table cannot distinguish "absent" from "zero");
-``RequestOutcome.stage`` reports 0.0 for both, so metrics are unchanged.
+The write side is one column block, :class:`_ColumnBlock`: the column
+layout, its allocation, reset, table view and the serve-field writer.
+The flat recorder is one block sized to the workload; the streaming
+ring recycles fixed-size blocks.  ``RequestOutcome`` objects only live
+while their request is in flight.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serving.records import (
-    SERVED_BY_SPILL,
-    RequestOutcome,
-    Stage,
-)
+from repro.core.metrics import LatencyStats
+from repro.serving.records import SERVED_BY_SPILL, RequestOutcome, Stage
 
-__all__ = ["OutcomeTable", "OutcomeRecorder"]
+__all__ = ["OutcomeReductions", "OutcomeTable", "OutcomeRecorder"]
 
 #: Column order of the per-stage latency matrix.
 STAGE_ORDER = Stage.ORDER
 _STAGE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(STAGE_ORDER)}
 _N_STAGES = len(STAGE_ORDER)
 
+#: The outcome column layout: ``(name, dtype, default)`` per column.
+#: ``stages`` is the ``(rows, len(Stage.ORDER))`` breakdown matrix.
+_COLUMNS = (
+    ("request_id", np.int64, 0),
+    ("client_id", np.int32, 0),
+    ("send_time", np.float64, 0.0),
+    ("completion_time", np.float64, np.nan),
+    ("success", np.bool_, False),
+    ("cold_start", np.bool_, False),
+    ("instance_id", np.int64, -1),
+    ("billed_duration_s", np.float64, 0.0),
+    ("inferences", np.int32, 1),
+    ("error_code", np.int16, 0),
+    ("attempts", np.int32, 1),
+    ("served_by", np.int8, 0),
+    ("stages", np.float64, 0.0),
+)
+_COLUMN_NAMES = tuple(name for name, _dtype, _fill in _COLUMNS)
 
-class OutcomeTable:
-    """Immutable-ish struct-of-arrays over one run's request outcomes.
+
+def _default_column(name: str, dtype, fill, rows: int) -> np.ndarray:
+    """A ``rows``-long column holding its default value."""
+    shape = (rows, _N_STAGES) if name == "stages" else rows
+    if fill == 0:
+        # Zeroed pages are lazily committed: unused capacity costs no RSS.
+        return np.zeros(shape, dtype=dtype)
+    return np.full(shape, fill, dtype=dtype)
+
+
+class OutcomeReductions:
+    """The reductions every outcome store answers, each defined once.
+
+    A store supplies the primitives (:attr:`count`,
+    :attr:`success_count`, :attr:`cold_on_success`,
+    :attr:`attempts_total`, :attr:`degraded_count`, :attr:`spill_count`,
+    :meth:`successes_within` and :meth:`success_timeline`) plus the
+    latency reductions (:attr:`average_latency`, :meth:`latency_stats`,
+    :meth:`path_latency_mean`).  The ratios and timeline reductions here
+    are computed from the primitives alone, so a
+    :class:`~repro.core.results.RunResult` answers the same way whichever
+    store holds its outcomes.
+    """
+
+    # -- headline ratios ------------------------------------------------------
+    @property
+    def success_ratio(self) -> float:
+        """Fraction of requests that succeeded (the paper's SR metric)."""
+        count = self.count
+        return self.success_count / count if count else 0.0
+
+    @property
+    def cold_start_ratio(self) -> float:
+        """Fraction of successful requests served by a cold instance."""
+        successes = self.success_count
+        return self.cold_on_success / successes if successes else 0.0
+
+    def attempts_mean(self) -> float:
+        """Mean submission attempts per request (retry amplification).
+
+        1.0 means no request was retried; under chaos schedules with
+        client-side retries this is the plottable amplification factor.
+        An empty store reports 1.0.
+        """
+        count = self.count
+        return self.attempts_total / count if count else 1.0
+
+    def degraded_ratio(self) -> float:
+        """Fraction of all requests served in brownout (degraded) mode.
+
+        Degraded completions are *successes* carrying the reserved error
+        label ``"degraded"`` (the router served them from the cheaper
+        brownout backend instead of shedding).  0.0 when the run never
+        browned out and on an empty store.
+        """
+        count = self.count
+        return self.degraded_count / count if count else 0.0
+
+    def spill_ratio(self) -> float:
+        """Fraction of all requests a hybrid front door spilled to serverless.
+
+        0.0 on non-hybrid runs (every request keeps the direct code), on
+        hybrid runs whose provisioned fleet never saturated, and on an
+        empty store.
+        """
+        count = self.count
+        return self.spill_count / count if count else 0.0
+
+    # -- SLO and timeline reductions ------------------------------------------
+    def slo_attainment(self, target_s: float) -> float:
+        """Fraction of *all* requests served successfully within ``target_s``.
+
+        The service-level objective of the chaos studies: failed,
+        timed-out, and shed requests all count against attainment, not
+        just slow successes.  An empty store attains vacuously (1.0).
+        """
+        count = self.count
+        return self.successes_within(target_s) / count if count else 1.0
+
+    def availability(self, bin_s: float = 10.0,
+                     min_success_ratio: float = 0.5) -> float:
+        """Fraction of time bins in which the service was *available*.
+
+        A bin is available when the success ratio of the requests sent
+        in it reaches ``min_success_ratio``; bins with no traffic count
+        as available (nothing was refused).  This is the outage-visible
+        metric: a 30 s dark window under 5 s bins costs ~6 bins of
+        availability regardless of how many requests piled into it.
+        """
+        edges, requests, successes = self.success_timeline(bin_s)
+        if len(edges) == 0:
+            return 1.0
+        active = requests > 0
+        if not active.any():
+            return 1.0
+        ratio = successes[active] / requests[active]
+        available = int((ratio >= min_success_ratio).sum())
+        available += int((~active).sum())
+        return available / len(edges)
+
+    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
+                        min_success_ratio: float = 0.5) -> float:
+        """Seconds from ``after_s`` until service is healthy again.
+
+        Scans the :meth:`success_timeline` for the first bin starting at
+        or after ``after_s`` (the end of an outage window) that carries
+        traffic and meets ``min_success_ratio``; returns the gap between
+        ``after_s`` and that bin's left edge — 0.0 when the first bin
+        after the outage is already healthy.  Returns NaN when the
+        service never recovers within the recorded horizon.
+        """
+        edges, requests, successes = self.success_timeline(bin_s)
+        for index in range(len(edges)):
+            if edges[index] + bin_s <= after_s:
+                continue
+            if requests[index] == 0:
+                continue
+            if successes[index] / requests[index] >= min_success_ratio:
+                return float(max(edges[index] - after_s, 0.0))
+        return float("nan")
+
+
+class OutcomeTable(OutcomeReductions):
+    """Struct-of-arrays over one run's request outcomes.
 
     Columns (all length ``count``):
 
@@ -61,6 +200,9 @@ class OutcomeTable:
     * ``served_by``    int8 (hybrid path code; 0 = direct, 1 =
       provisioned fleet, 2 = serverless spill)
     * ``stages``       float64 matrix of shape (count, len(Stage.ORDER))
+
+    Every reduction is a masked numpy reduction over these columns;
+    latency quantiles are exact.
     """
 
     def __init__(self, request_id, client_id, send_time, completion_time,
@@ -116,69 +258,39 @@ class OutcomeTable:
         names = self.error_names
         return [names[code] for code in self.error_code.tolist()]
 
-    def attempts_mean(self) -> float:
-        """Mean submission attempts per request (retry amplification).
+    # -- reduction primitives -------------------------------------------------
+    @property
+    def success_count(self) -> int:
+        """Number of successful requests."""
+        return int(self.success.sum())
 
-        1.0 means no request was retried; under chaos schedules with
-        client-side retries this is the plottable amplification factor.
-        An empty table reports 1.0.
-        """
-        if self.count == 0:
-            return 1.0
-        return float(self.attempts.mean())
+    @property
+    def cold_on_success(self) -> int:
+        """Number of successful requests served by a cold instance."""
+        return int(self.cold_start[self.success].sum())
 
-    def degraded_ratio(self) -> float:
-        """Fraction of all requests served in brownout (degraded) mode.
+    @property
+    def attempts_total(self) -> int:
+        """Submission attempts summed over every request."""
+        return int(self.attempts.sum())
 
-        Degraded completions are *successes* carrying the reserved error
-        label ``"degraded"`` (the router served them from the cheaper
-        brownout backend instead of shedding).  0.0 when the run never
-        browned out; an empty table reports 0.0.
-        """
-        if self.count == 0:
-            return 0.0
+    @property
+    def degraded_count(self) -> int:
+        """Successful requests carrying the ``"degraded"`` label."""
         try:
             code = self.error_names.index("degraded")
         except ValueError:
-            return 0.0
-        mask = self.success & (self.error_code == code)
-        return float(mask.sum()) / self.count
+            return 0
+        return int((self.success & (self.error_code == code)).sum())
 
-    def spill_ratio(self) -> float:
-        """Fraction of all requests a hybrid front door spilled to serverless.
+    @property
+    def spill_count(self) -> int:
+        """Requests a hybrid front door spilled to serverless."""
+        return int((self.served_by == SERVED_BY_SPILL).sum())
 
-        0.0 on non-hybrid runs (every request keeps the direct code) and
-        on hybrid runs whose provisioned fleet never saturated; an empty
-        table reports 0.0.
-        """
-        if self.count == 0:
-            return 0.0
-        return float((self.served_by == SERVED_BY_SPILL).sum()) / self.count
-
-    def path_latency_mean(self, served_by: int) -> float:
-        """Mean successful latency of one hybrid path (NaN when unserved).
-
-        ``served_by`` is a :data:`~repro.serving.records.SERVED_BY_NAMES`
-        code; the reduction mirrors the headline ``avg_latency_s`` but
-        restricted to the requests that path completed successfully.
-        """
-        mask = self.success & (self.served_by == served_by)
-        if not mask.any():
-            return float("nan")
-        return float(self.latency[mask].mean())
-
-    # -- SLO reductions --------------------------------------------------------
-    def slo_attainment(self, target_s: float) -> float:
-        """Fraction of *all* requests served successfully within ``target_s``.
-
-        The service-level objective of the chaos studies: failed,
-        timed-out, and shed requests all count against attainment, not
-        just slow successes.  An empty table attains vacuously (1.0).
-        """
-        if self.count == 0:
-            return 1.0
-        meeting = self.success & (self.latency <= target_s)
-        return float(meeting.sum()) / self.count
+    def successes_within(self, target_s: float) -> int:
+        """Successful requests whose latency is at most ``target_s``."""
+        return int((self.success & (self.latency <= target_s)).sum())
 
     def success_timeline(self, bin_s: float = 10.0):
         """Per-time-bin request and success counts (by send time).
@@ -201,47 +313,30 @@ class OutcomeTable:
         edges = np.arange(bins) * bin_s
         return edges, requests, successes
 
-    def availability(self, bin_s: float = 10.0,
-                     min_success_ratio: float = 0.5) -> float:
-        """Fraction of time bins in which the service was *available*.
+    # -- latency reductions ---------------------------------------------------
+    @property
+    def average_latency(self) -> float:
+        """Mean latency of the *successful* requests (0.0 if none)."""
+        latencies = self.successful_latencies()
+        if latencies.size == 0:
+            return 0.0
+        return float(latencies.mean())
 
-        A bin is available when the success ratio of the requests sent
-        in it reaches ``min_success_ratio``; bins with no traffic count
-        as available (nothing was refused).  This is the outage-visible
-        metric: a 30 s dark window under 5 s bins costs ~6 bins of
-        availability regardless of how many requests piled into it.
+    def latency_stats(self) -> LatencyStats:
+        """Exact distributional statistics over successful latencies."""
+        return LatencyStats.from_values(self.successful_latencies())
+
+    def path_latency_mean(self, served_by: int) -> float:
+        """Mean successful latency of one hybrid path (NaN when unserved).
+
+        ``served_by`` is a :data:`~repro.serving.records.SERVED_BY_NAMES`
+        code; the reduction mirrors the headline ``avg_latency_s`` but
+        restricted to the requests that path completed successfully.
         """
-        edges, requests, successes = self.success_timeline(bin_s)
-        if len(edges) == 0:
-            return 1.0
-        active = requests > 0
-        if not active.any():
-            return 1.0
-        ratio = successes[active] / requests[active]
-        available = int((ratio >= min_success_ratio).sum())
-        available += int((~active).sum())
-        return available / len(edges)
-
-    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
-                        min_success_ratio: float = 0.5) -> float:
-        """Seconds from ``after_s`` until service is healthy again.
-
-        Scans the :meth:`success_timeline` for the first bin starting at
-        or after ``after_s`` (the end of an outage window) that carries
-        traffic and meets ``min_success_ratio``; returns the gap between
-        ``after_s`` and that bin's left edge — 0.0 when the first bin
-        after the outage is already healthy.  Returns NaN when the
-        service never recovers within the recorded horizon.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        for index in range(len(edges)):
-            if edges[index] + bin_s <= after_s:
-                continue
-            if requests[index] == 0:
-                continue
-            if successes[index] / requests[index] >= min_success_ratio:
-                return float(max(edges[index] - after_s, 0.0))
-        return float("nan")
+        mask = self.success & (self.served_by == served_by)
+        if not mask.any():
+            return float("nan")
+        return float(self.latency[mask].mean())
 
     # -- mutation (benchmark-internal) ----------------------------------------
     def fail_unfinished(self, horizon: float,
@@ -261,54 +356,6 @@ class OutcomeTable:
         self.success[open_mask] = False
         self.error_code[open_mask] = _intern_error(self.error_names, error)
         return n_open
-
-    # -- interchange -----------------------------------------------------------
-    @classmethod
-    def from_outcomes(cls, outcomes: Iterable[RequestOutcome]) -> "OutcomeTable":
-        """Build a table from materialised outcome objects.
-
-        Unfinished outcomes keep everything except the completion fields
-        (``table()`` flushes their partial state, including any error
-        string already set).  The objects themselves are left untouched —
-        the recorder's row bookkeeping is not leaked back to the caller.
-        """
-        recorder = OutcomeRecorder(capacity=0)
-        for outcome in outcomes:
-            caller_row = outcome.row
-            recorder.register(outcome)
-            if outcome.completion_time is not None:
-                recorder.commit(outcome)
-            outcome.row = caller_row
-        return recorder.table()
-
-    def row(self, index: int) -> RequestOutcome:
-        """Reconstruct one request's outcome object."""
-        completion = float(self.completion_time[index])
-        instance = int(self.instance_id[index])
-        breakdown: Dict[str, float] = {}
-        for stage_index, name in enumerate(STAGE_ORDER):
-            seconds = float(self.stages[index, stage_index])
-            if seconds != 0.0:
-                breakdown[name] = seconds
-        return RequestOutcome(
-            request_id=int(self.request_id[index]),
-            client_id=int(self.client_id[index]),
-            send_time=float(self.send_time[index]),
-            completion_time=None if np.isnan(completion) else completion,
-            success=bool(self.success[index]),
-            error=self.error_names[int(self.error_code[index])],
-            cold_start=bool(self.cold_start[index]),
-            instance_id=None if instance < 0 else instance,
-            billed_duration_s=float(self.billed_duration_s[index]),
-            inferences=int(self.inferences[index]),
-            breakdown=breakdown,
-            attempts=int(self.attempts[index]),
-            served_by=int(self.served_by[index]),
-        )
-
-    def to_outcomes(self) -> List[RequestOutcome]:
-        """Reconstruct the full list of outcome objects (API-compat view)."""
-        return [self.row(index) for index in range(self.count)]
 
     # -- wire format -----------------------------------------------------------
     def packed(self) -> dict:
@@ -354,61 +401,27 @@ class OutcomeTable:
     def from_packed(cls, packed: dict) -> "OutcomeTable":
         """Rebuild a table from :meth:`packed` output (exact inverse)."""
         count = packed["count"]
-        request_id = packed.get("request_id")
-        if request_id is None:
-            request_id = np.arange(count, dtype=np.int64)
-        else:
-            request_id = request_id.astype(np.int64)
-        success = np.unpackbits(packed["success"],
-                                count=count).astype(bool)
-        cold = packed.get("cold_start")
-        if cold is None:
-            cold_start = np.zeros(count, dtype=bool)
-        else:
-            cold_start = np.unpackbits(cold, count=count).astype(bool)
-        instance_id = packed.get("instance_id")
-        if instance_id is None:
-            instance_id = np.full(count, -1, dtype=np.int64)
-        else:
-            instance_id = instance_id.astype(np.int64)
-        inferences = packed.get("inferences")
-        if inferences is None:
-            inferences = np.ones(count, dtype=np.int32)
-        else:
-            inferences = inferences.astype(np.int32)
-        error_code = packed.get("error_code")
-        if error_code is None:
-            error_code = np.zeros(count, dtype=np.int16)
-        attempts = packed.get("attempts")
-        if attempts is None:
-            attempts = np.ones(count, dtype=np.int32)
-        else:
-            attempts = attempts.astype(np.int32)
-        served_by = packed.get("served_by")
-        if served_by is None:
-            served_by = np.zeros(count, dtype=np.int8)
-        else:
-            served_by = served_by.astype(np.int8)
-        stages = np.zeros((count, _N_STAGES), dtype=np.float64)
-        for stage_index, column in enumerate(packed["stages"]):
-            stages[:, stage_index] = _unpack_sparse(column, count)
-        return cls(
-            request_id=request_id,
-            client_id=packed["client_id"].astype(np.int32),
-            send_time=packed["send_time"],
-            completion_time=packed["completion_time"],
-            success=success,
-            cold_start=cold_start,
-            instance_id=instance_id,
-            billed_duration_s=_unpack_sparse(packed["billed_duration_s"],
-                                             count),
-            inferences=inferences,
-            error_code=error_code,
-            stages=stages,
-            error_names=packed["errors"],
-            attempts=attempts,
-            served_by=served_by,
-        )
+        columns = {}
+        for name, dtype, fill in _COLUMNS:
+            value = packed.get(name)
+            if name == "stages":
+                value = np.zeros((count, _N_STAGES), dtype=np.float64)
+                for stage_index, column in enumerate(packed["stages"]):
+                    value[:, stage_index] = _unpack_sparse(column, count)
+            elif name == "billed_duration_s":
+                value = _unpack_sparse(value, count)
+            elif value is None:
+                # An elided column holds only its default value.
+                value = _default_column(name, dtype, fill, count)
+            elif dtype is np.bool_:
+                value = np.unpackbits(value, count=count).astype(bool)
+            else:
+                value = value.astype(dtype, copy=False)
+            columns[name] = value
+        if "request_id" not in packed:
+            # Elided because it was the executor's sequential numbering.
+            columns["request_id"] = np.arange(count, dtype=np.int64)
+        return cls(**columns, error_names=packed["errors"])
 
     # -- determinism -----------------------------------------------------------
     def column_hash(self) -> str:
@@ -473,8 +486,66 @@ def _intern_error(names: List[str], error: str) -> int:
         return len(names) - 1
 
 
-class OutcomeRecorder:
-    """Preallocated write-side of an :class:`OutcomeTable`.
+class _ColumnBlock:
+    """One preallocated block of outcome columns and its serve-field writer.
+
+    The write-side storage of both recorders: :class:`OutcomeRecorder`
+    is one block sized to the workload, and the streaming ring
+    (:class:`~repro.serving.streaming.ChunkedOutcomeRecorder`) recycles
+    fixed-size blocks.  ``error_names`` is the vocabulary ``error_code``
+    indexes; the blocks of one ring share their recorder's list.
+    """
+
+    __slots__ = _COLUMN_NAMES + ("error_names",)
+
+    def __init__(self, rows: int, error_names: Optional[List[str]] = None):
+        for name, dtype, fill in _COLUMNS:
+            setattr(self, name, _default_column(name, dtype, fill, rows))
+        self.error_names: List[str] = ([""] if error_names is None
+                                       else error_names)
+
+    def reset(self) -> None:
+        """Restore every column's default value (for block reuse)."""
+        for name, _dtype, fill in _COLUMNS:
+            getattr(self, name)[:] = fill
+
+    def view(self, rows: int) -> OutcomeTable:
+        """The block's first ``rows`` rows as an :class:`OutcomeTable`.
+
+        The columns are zero-copy views: do not keep the table past a
+        reuse of the block.
+        """
+        return OutcomeTable(
+            **{name: getattr(self, name)[:rows] for name in _COLUMN_NAMES},
+            error_names=self.error_names)
+
+    def write_serve_fields(self, row: int, outcome: RequestOutcome) -> None:
+        """Write the fields a request accrues while being served."""
+        if outcome.error:
+            self.error_code[row] = _intern_error(self.error_names,
+                                                 outcome.error)
+        if outcome.success:
+            self.success[row] = True
+        if outcome.cold_start:
+            self.cold_start[row] = True
+        if outcome.instance_id is not None:
+            self.instance_id[row] = outcome.instance_id
+        if outcome.billed_duration_s:
+            self.billed_duration_s[row] = outcome.billed_duration_s
+        if outcome.attempts != 1:
+            self.attempts[row] = outcome.attempts
+        if outcome.served_by:
+            self.served_by[row] = outcome.served_by
+        breakdown = outcome.breakdown
+        if breakdown:
+            stages = self.stages
+            index = _STAGE_INDEX
+            for name, seconds in breakdown.items():
+                stages[row, index[name]] = seconds
+
+
+class OutcomeRecorder(_ColumnBlock):
+    """Preallocated write side of an :class:`OutcomeTable`.
 
     Sized from the workload's known request count; grows geometrically in
     the (unusual) case more requests are issued than the hint promised.
@@ -483,24 +554,12 @@ class OutcomeRecorder:
     cells); a zero-capacity recorder simply grows on first registration.
     """
 
+    __slots__ = ("_capacity", "_count", "_inflight")
+
     def __init__(self, capacity: int):
         self._capacity = max(int(capacity), 0)
         self._count = 0
-        capacity = self._capacity
-        self.request_id = np.zeros(capacity, dtype=np.int64)
-        self.client_id = np.zeros(capacity, dtype=np.int32)
-        self.send_time = np.zeros(capacity, dtype=np.float64)
-        self.completion_time = np.full(capacity, np.nan, dtype=np.float64)
-        self.success = np.zeros(capacity, dtype=bool)
-        self.cold_start = np.zeros(capacity, dtype=bool)
-        self.instance_id = np.full(capacity, -1, dtype=np.int64)
-        self.billed_duration_s = np.zeros(capacity, dtype=np.float64)
-        self.inferences = np.ones(capacity, dtype=np.int32)
-        self.error_code = np.zeros(capacity, dtype=np.int16)
-        self.attempts = np.ones(capacity, dtype=np.int32)
-        self.served_by = np.zeros(capacity, dtype=np.int8)
-        self.stages = np.zeros((capacity, _N_STAGES), dtype=np.float64)
-        self.error_names: List[str] = [""]
+        _ColumnBlock.__init__(self, self._capacity)
         #: Registered-but-uncommitted outcomes; their partial state
         #: (accrued stages, instance assignment) is flushed by
         #: :meth:`table` so requests that never complete keep the fields
@@ -512,26 +571,10 @@ class OutcomeRecorder:
 
     def _grow(self) -> None:
         new_capacity = max(self._capacity * 2, 16)
-        pad = new_capacity - self._capacity
-
-        def extend(array: np.ndarray, fill) -> np.ndarray:
-            shape = (pad,) + array.shape[1:]
-            return np.concatenate(
-                [array, np.full(shape, fill, dtype=array.dtype)])
-
-        self.request_id = extend(self.request_id, 0)
-        self.client_id = extend(self.client_id, 0)
-        self.send_time = extend(self.send_time, 0.0)
-        self.completion_time = extend(self.completion_time, np.nan)
-        self.success = extend(self.success, False)
-        self.cold_start = extend(self.cold_start, False)
-        self.instance_id = extend(self.instance_id, -1)
-        self.billed_duration_s = extend(self.billed_duration_s, 0.0)
-        self.inferences = extend(self.inferences, 1)
-        self.error_code = extend(self.error_code, 0)
-        self.attempts = extend(self.attempts, 1)
-        self.served_by = extend(self.served_by, 0)
-        self.stages = extend(self.stages, 0.0)
+        for name, dtype, fill in _COLUMNS:
+            grown = _default_column(name, dtype, fill, new_capacity)
+            grown[:self._capacity] = getattr(self, name)
+            setattr(self, name, grown)
         self._capacity = new_capacity
 
     # -- write path ------------------------------------------------------------
@@ -561,30 +604,7 @@ class OutcomeRecorder:
         row = outcome.row
         self._inflight.pop(row, None)
         self.completion_time[row] = outcome.completion_time
-        self._write_serve_fields(row, outcome)
-
-    def _write_serve_fields(self, row: int, outcome: RequestOutcome) -> None:
-        if outcome.error:
-            self.error_code[row] = _intern_error(self.error_names,
-                                                 outcome.error)
-        if outcome.success:
-            self.success[row] = True
-        if outcome.cold_start:
-            self.cold_start[row] = True
-        if outcome.instance_id is not None:
-            self.instance_id[row] = outcome.instance_id
-        if outcome.billed_duration_s:
-            self.billed_duration_s[row] = outcome.billed_duration_s
-        if outcome.attempts != 1:
-            self.attempts[row] = outcome.attempts
-        if outcome.served_by:
-            self.served_by[row] = outcome.served_by
-        breakdown = outcome.breakdown
-        if breakdown:
-            stages = self.stages
-            index = _STAGE_INDEX
-            for name, seconds in breakdown.items():
-                stages[row, index[name]] = seconds
+        self.write_serve_fields(row, outcome)
 
     # -- read side -------------------------------------------------------------
     def table(self) -> OutcomeTable:
@@ -595,21 +615,20 @@ class OutcomeRecorder:
         unfinished rows carry everything their in-flight objects did.
         """
         for row, outcome in self._inflight.items():
-            self._write_serve_fields(row, outcome)
-        n = self._count
-        return OutcomeTable(
-            request_id=self.request_id[:n],
-            client_id=self.client_id[:n],
-            send_time=self.send_time[:n],
-            completion_time=self.completion_time[:n],
-            success=self.success[:n],
-            cold_start=self.cold_start[:n],
-            instance_id=self.instance_id[:n],
-            billed_duration_s=self.billed_duration_s[:n],
-            inferences=self.inferences[:n],
-            error_code=self.error_code[:n],
-            stages=self.stages[:n],
-            error_names=self.error_names,
-            attempts=self.attempts[:n],
-            served_by=self.served_by[:n],
-        )
+            self.write_serve_fields(row, outcome)
+        return self.view(self._count)
+
+    def finalize(self, horizon: float,
+                 error: str = "unfinished") -> OutcomeTable:
+        """The run's table, with requests still open at ``horizon`` failed.
+
+        The end-of-run read side both recorders share: :meth:`table`,
+        then :meth:`OutcomeTable.fail_unfinished`.
+        """
+        table = self.table()
+        table.fail_unfinished(horizon, error)
+        return table
+
+    def run_metadata(self) -> Dict[str, float]:
+        """Recorder counters for the run's metadata (none for a flat block)."""
+        return {}

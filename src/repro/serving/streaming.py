@@ -7,25 +7,21 @@ alone are gigabytes, and every metric reduction walks all of them).
 This module is the flat-RSS alternative:
 
 * :class:`ChunkedOutcomeRecorder` writes outcomes into a ring of
-  fixed-size column chunks.  A chunk *seals* once every row in it has
-  been committed and the simulation clock has moved past the chunk's
-  last send time by a safety lag (so late re-commits through
-  ``platform.outcome_sink`` can still land).  Sealed chunks either stay
-  resident (``keep_chunks=True`` — the drop-in recorder used to prove
-  bit-identical column hashes against the preallocated path) or fold
-  into an :class:`OutcomeSummary` and recycle their buffers
-  (``keep_chunks=False`` — the streaming mode, whose peak memory is
-  bounded by the seal lag times the arrival rate, not the trace
-  length).
+  fixed-size column blocks (the same block the flat recorder uses).  A
+  chunk *seals* once every row in it has been committed and the
+  simulation clock has moved past the chunk's last send time by a
+  safety lag (so late re-commits through ``platform.outcome_sink`` can
+  still land); it then folds into an :class:`OutcomeSummary` and its
+  buffers are recycled.  Peak memory is bounded by the seal lag times
+  the arrival rate, not the trace length.
 
-* :class:`OutcomeSummary` is the online-reduction target: running
-  sums/counts for means and ratios, exact min/max, a log-binned
-  :class:`LatencySketch` for quantiles and SLO attainment, and a
-  base-binned success timeline for ``availability`` /
-  ``time_to_recover``.  It exposes the same reduction methods a full
-  :class:`~repro.serving.outcome_table.OutcomeTable` does, so
-  :class:`~repro.core.results.RunResult` and the study layer consume
-  either interchangeably.
+* :class:`OutcomeSummary` is the fold target: running tallies, exact
+  latency sums and min/max, a log-binned :class:`LatencySketch` for
+  quantiles and SLO attainment, and a base-binned success timeline.
+  It supplies the primitives of
+  :class:`~repro.serving.outcome_table.OutcomeReductions`, so every
+  ratio and timeline reduction is the very code a full
+  :class:`~repro.serving.outcome_table.OutcomeTable` runs.
 
 Accuracy contract (asserted by ``tests/test_streaming.py``):
 
@@ -52,8 +48,9 @@ import numpy as np
 
 from repro.core.metrics import LatencyStats
 from repro.serving.outcome_table import (
-    STAGE_ORDER,
+    OutcomeReductions,
     OutcomeTable,
+    _ColumnBlock,
     _intern_error,
 )
 from repro.serving.records import SERVED_BY_SPILL, RequestOutcome
@@ -63,9 +60,6 @@ from repro.serving.records import SERVED_BY_SPILL, RequestOutcome
 _N_PATHS = 3
 
 __all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder"]
-
-_N_STAGES = len(STAGE_ORDER)
-_STAGE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(STAGE_ORDER)}
 
 #: Default number of rows per column chunk (~8 MB of columns).
 DEFAULT_CHUNK_ROWS = 65_536
@@ -186,19 +180,18 @@ class LatencySketch:
         )
 
 
-class OutcomeSummary:
+class OutcomeSummary(OutcomeReductions):
     """Online reductions over folded outcome chunks.
 
     The streaming replacement for holding a full
     :class:`~repro.serving.outcome_table.OutcomeTable` resident: every
     headline metric, SLO reduction, and study-layer column is served
     from running accumulators whose size is independent of the trace
-    length.  Methods mirror the table's reduction API
-    (:meth:`slo_attainment`, :meth:`availability`,
-    :meth:`time_to_recover`, :meth:`success_timeline`,
-    :meth:`attempts_mean`, :meth:`degraded_ratio`, :meth:`spill_ratio`,
-    :meth:`path_latency_mean`) so results built on either backend answer
-    the same questions.
+    length.  The tallies are the
+    :class:`~repro.serving.outcome_table.OutcomeReductions` primitives,
+    so the ratios, ``availability`` and ``time_to_recover`` are shared
+    with the table; latency reductions come from the running sums and
+    the sketch.
     """
 
     #: Time resolution (seconds) of the streaming success timeline; any
@@ -240,12 +233,13 @@ class OutcomeSummary:
             return
         self.chunks_folded += 1
         success = table.success
-        n_success = int(success.sum())
+        n_success = table.success_count
         self.count += n
         self.success_count += n_success
-        self.cold_on_success += int(table.cold_start[success].sum())
-        self.attempts_total += int(table.attempts.sum())
-        latency = table.completion_time - table.send_time
+        self.cold_on_success += table.cold_on_success
+        self.attempts_total += table.attempts_total
+        self.degraded_count += table.degraded_count
+        latency = table.latency
         success_latencies = latency[success]
         self.latencies.add(success_latencies)
         served = table.served_by
@@ -266,22 +260,15 @@ class OutcomeSummary:
         error_code = table.error_code
         if error_code.any():
             names = table.error_names
-            counts = np.bincount(error_code, minlength=1)
-            for code in np.flatnonzero(counts):
-                if code == 0:       # code 0 is the empty (no-error) label
-                    continue
+            counts = np.bincount(error_code)
+            for code in np.flatnonzero(counts[1:]) + 1:  # 0 = no error
                 name = names[int(code)]
                 self.error_counts[name] = (self.error_counts.get(name, 0)
                                            + int(counts[code]))
-                if name == "degraded":
-                    mask = success & (error_code == code)
-                    self.degraded_count += int(mask.sum())
         send = table.send_time
-        if n:
-            self.max_send_time = max(self.max_send_time,
-                                     float(send.max()))
+        self.max_send_time = max(self.max_send_time, float(send.max()))
         index = (send / self.base_bin_s).astype(np.int64)
-        needed = int(index.max()) + 1 if n else 0
+        needed = int(index.max()) + 1
         if needed > self._timeline_requests.size:
             pad = needed - self._timeline_requests.size
             self._timeline_requests = np.concatenate(
@@ -306,71 +293,18 @@ class OutcomeSummary:
         chained.update("\x00".join(table.error_names).encode("utf-8"))
         self._digest_hex = chained.hexdigest()
 
-    # -- headline reductions ----------------------------------------------
+    # -- reduction primitives -----------------------------------------------
     @property
-    def success_ratio(self) -> float:
-        """Fraction of requests that succeeded (exact)."""
-        return self.success_count / self.count if self.count else 0.0
+    def spill_count(self) -> int:
+        """Requests a hybrid front door spilled to serverless."""
+        return int(self.path_counts[SERVED_BY_SPILL])
 
-    @property
-    def average_latency(self) -> float:
-        """Mean successful-request latency (exact running sum)."""
-        return self.latencies.mean
+    def successes_within(self, target_s: float) -> int:
+        """Successful requests within ``target_s``, from the sketch.
 
-    @property
-    def cold_start_ratio(self) -> float:
-        """Fraction of successful requests served by a cold instance."""
-        if not self.success_count:
-            return 0.0
-        return self.cold_on_success / self.success_count
-
-    def latency_stats(self) -> LatencyStats:
-        """Distributional latency statistics (quantiles from the sketch)."""
-        return self.latencies.stats()
-
-    def attempts_mean(self) -> float:
-        """Mean submission attempts per request (1.0 when empty)."""
-        if not self.count:
-            return 1.0
-        return self.attempts_total / self.count
-
-    def degraded_ratio(self) -> float:
-        """Fraction of all requests served in brownout (degraded) mode."""
-        if not self.count:
-            return 0.0
-        return self.degraded_count / self.count
-
-    def spill_ratio(self) -> float:
-        """Fraction of all requests a hybrid front door spilled to serverless.
-
-        Exact (integer accumulation); 0.0 on non-hybrid runs and on
-        empty summaries, mirroring the table reduction.
+        The effective target is shifted by at most one bin (~0.4 %).
         """
-        if not self.count:
-            return 0.0
-        return float(self.path_counts[SERVED_BY_SPILL]) / self.count
-
-    def path_latency_mean(self, served_by: int) -> float:
-        """Mean successful latency of one hybrid path (NaN when unserved).
-
-        Served from exact running sums, so it matches the table
-        reduction up to float summation order.
-        """
-        hits = int(self.path_success_counts[served_by])
-        if not hits:
-            return float("nan")
-        return float(self.path_latency_totals[served_by]) / hits
-
-    # -- SLO reductions ----------------------------------------------------
-    def slo_attainment(self, target_s: float) -> float:
-        """Fraction of all requests served successfully within ``target_s``.
-
-        The successful-latency count comes from the sketch, so the
-        effective target is shifted by at most one bin (~0.4 %).
-        """
-        if not self.count:
-            return 1.0
-        return self.latencies.count_at_most(target_s) / self.count
+        return self.latencies.count_at_most(target_s)
 
     def success_timeline(self, bin_s: float = 10.0):
         """Per-time-bin request and success counts (by send time).
@@ -401,43 +335,32 @@ class OutcomeSummary:
         successes = successes.reshape(bins, factor).sum(axis=1)
         return np.arange(bins) * bin_s, requests, successes
 
-    def availability(self, bin_s: float = 10.0,
-                     min_success_ratio: float = 0.5) -> float:
-        """Fraction of time bins in which the service was available.
+    # -- latency reductions -------------------------------------------------
+    @property
+    def average_latency(self) -> float:
+        """Mean successful-request latency (exact running sum)."""
+        return self.latencies.mean
 
-        Same semantics as the table reduction: a bin with traffic is
-        available when its success ratio reaches ``min_success_ratio``;
-        bins without traffic count as available.
+    def latency_stats(self) -> LatencyStats:
+        """Distributional latency statistics (quantiles from the sketch)."""
+        return self.latencies.stats()
+
+    def path_latency_mean(self, served_by: int) -> float:
+        """Mean successful latency of one hybrid path (NaN when unserved).
+
+        Served from exact running sums, so it matches the table
+        reduction up to float summation order.
         """
-        edges, requests, successes = self.success_timeline(bin_s)
-        if len(edges) == 0:
-            return 1.0
-        active = requests > 0
-        if not active.any():
-            return 1.0
-        ratio = successes[active] / requests[active]
-        available = int((ratio >= min_success_ratio).sum())
-        available += int((~active).sum())
-        return available / len(edges)
+        hits = int(self.path_success_counts[served_by])
+        if not hits:
+            return float("nan")
+        return float(self.path_latency_totals[served_by]) / hits
 
-    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
-                        min_success_ratio: float = 0.5) -> float:
-        """Seconds from ``after_s`` until the service is healthy again.
+    # -- transport and determinism ----------------------------------------
+    def packed(self) -> "OutcomeSummary":
+        """The transport form: the summary itself (small and fixed-size)."""
+        return self
 
-        Mirrors the table reduction over the streaming timeline; NaN
-        when the service never recovers within the recorded horizon.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        for index in range(len(edges)):
-            if edges[index] + bin_s <= after_s:
-                continue
-            if requests[index] == 0:
-                continue
-            if successes[index] / requests[index] >= min_success_ratio:
-                return float(max(edges[index] - after_s, 0.0))
-        return float("nan")
-
-    # -- determinism -------------------------------------------------------
     def digest(self) -> str:
         """SHA-256 over every folded chunk's column bytes, in fold order.
 
@@ -449,108 +372,48 @@ class OutcomeSummary:
         return self._digest_hex
 
 
-class _Chunk:
-    """One fixed-size column block of the recorder ring."""
+class _Chunk(_ColumnBlock):
+    """One column block of the recorder ring, with its seal bookkeeping."""
 
-    __slots__ = ("request_id", "client_id", "send_time", "completion_time",
-                 "success", "cold_start", "instance_id", "billed_duration_s",
-                 "inferences", "error_code", "attempts", "served_by",
-                 "stages", "uncommitted", "max_send")
+    __slots__ = ("uncommitted", "max_send")
 
-    def __init__(self, rows: int):
-        self.request_id = np.zeros(rows, dtype=np.int64)
-        self.client_id = np.zeros(rows, dtype=np.int32)
-        self.send_time = np.zeros(rows, dtype=np.float64)
-        self.completion_time = np.full(rows, np.nan, dtype=np.float64)
-        self.success = np.zeros(rows, dtype=bool)
-        self.cold_start = np.zeros(rows, dtype=bool)
-        self.instance_id = np.full(rows, -1, dtype=np.int64)
-        self.billed_duration_s = np.zeros(rows, dtype=np.float64)
-        self.inferences = np.ones(rows, dtype=np.int32)
-        self.error_code = np.zeros(rows, dtype=np.int16)
-        self.attempts = np.ones(rows, dtype=np.int32)
-        self.served_by = np.zeros(rows, dtype=np.int8)
-        self.stages = np.zeros((rows, _N_STAGES), dtype=np.float64)
+    def __init__(self, rows: int, error_names: List[str]):
+        _ColumnBlock.__init__(self, rows, error_names)
         self.uncommitted = 0
         self.max_send = 0.0
 
     def reset(self) -> None:
         """Restore default column values for ring reuse."""
-        self.request_id[:] = 0
-        self.client_id[:] = 0
-        self.send_time[:] = 0.0
-        self.completion_time[:] = np.nan
-        self.success[:] = False
-        self.cold_start[:] = False
-        self.instance_id[:] = -1
-        self.billed_duration_s[:] = 0.0
-        self.inferences[:] = 1
-        self.error_code[:] = 0
-        self.attempts[:] = 1
-        self.served_by[:] = 0
-        self.stages[:] = 0.0
+        _ColumnBlock.reset(self)
         self.uncommitted = 0
         self.max_send = 0.0
-
-    def view(self, rows: int, error_names: List[str]) -> OutcomeTable:
-        """The chunk's first ``rows`` rows as an :class:`OutcomeTable`.
-
-        A zero-copy view over the chunk buffers — do not retain it past
-        a ring recycle.
-        """
-        return OutcomeTable(
-            request_id=self.request_id[:rows],
-            client_id=self.client_id[:rows],
-            send_time=self.send_time[:rows],
-            completion_time=self.completion_time[:rows],
-            success=self.success[:rows],
-            cold_start=self.cold_start[:rows],
-            instance_id=self.instance_id[:rows],
-            billed_duration_s=self.billed_duration_s[:rows],
-            inferences=self.inferences[:rows],
-            error_code=self.error_code[:rows],
-            stages=self.stages[:rows],
-            error_names=error_names,
-            attempts=self.attempts[:rows],
-            served_by=self.served_by[:rows],
-        )
 
 
 class ChunkedOutcomeRecorder:
     """Chunk-ring write side of the outcome data plane.
 
-    API-compatible with :class:`~repro.serving.outcome_table.
-    OutcomeRecorder` (``register`` / ``commit`` / ``table``), but the
-    backing store is a ring of ``chunk_rows``-row column chunks instead
-    of one flat preallocation:
-
-    * ``keep_chunks=True`` (default) retains every chunk; :meth:`table`
-      concatenates them into a full table **bit-identical** to the
-      preallocated recorder's at any chunk size.
-    * ``keep_chunks=False`` streams: once a chunk is fully committed
-      and the clock has passed its newest send time by ``seal_lag_s``,
-      it folds into ``summary`` and its buffers are recycled, so peak
-      memory is bounded by the seal-lag window rather than the trace.
-      :meth:`finalize` fails still-open rows (the ``fail_unfinished``
-      semantics) and folds the tail, returning the summary.
+    Same write API as :class:`~repro.serving.outcome_table.
+    OutcomeRecorder` (``register`` / ``commit`` / ``finalize``), but the
+    backing store is a ring of ``chunk_rows``-row column blocks instead
+    of one flat preallocation.  Once a chunk is fully committed and the
+    clock has passed its newest send time by ``seal_lag_s``, it folds
+    into ``summary`` and its buffers are recycled, so peak memory is
+    bounded by the seal-lag window rather than the trace.
+    :meth:`finalize` fails still-open rows (the ``fail_unfinished``
+    semantics) and folds the tail, returning the summary.
 
     A commit that arrives for an already-folded row raises — that means
     ``seal_lag_s`` was smaller than the platform's late-service window
     and the run's reductions could silently drift otherwise.
     """
 
-    def __init__(self, capacity: int = 0,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 keep_chunks: bool = True,
+    def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  summary: Optional[OutcomeSummary] = None,
                  seal_lag_s: float = DEFAULT_SEAL_LAG_S):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
-        if not keep_chunks and summary is None:
-            summary = OutcomeSummary()
         self.chunk_rows = int(chunk_rows)
-        self.keep_chunks = keep_chunks
-        self.summary = summary
+        self.summary = OutcomeSummary() if summary is None else summary
         self.seal_lag_s = float(seal_lag_s)
         self.error_names: List[str] = [""]
         self._count = 0
@@ -578,7 +441,7 @@ class ChunkedOutcomeRecorder:
                 chunk = self._free.pop()
                 chunk.reset()
             else:
-                chunk = _Chunk(self.chunk_rows)
+                chunk = _Chunk(self.chunk_rows, self.error_names)
             self._resident[index] = chunk
             resident = len(self._resident)
             if resident > self.peak_resident_chunks:
@@ -614,35 +477,10 @@ class ChunkedOutcomeRecorder:
             chunk.uncommitted -= 1
         completion = outcome.completion_time
         chunk.completion_time[offset] = completion
-        self._write_serve_fields(chunk, offset, outcome)
+        chunk.write_serve_fields(offset, outcome)
         if completion is not None and completion > self._clock:
             self._clock = completion
-            if not self.keep_chunks:
-                self._seal_ready()
-
-    def _write_serve_fields(self, chunk: _Chunk, offset: int,
-                            outcome: RequestOutcome) -> None:
-        if outcome.error:
-            chunk.error_code[offset] = _intern_error(self.error_names,
-                                                     outcome.error)
-        if outcome.success:
-            chunk.success[offset] = True
-        if outcome.cold_start:
-            chunk.cold_start[offset] = True
-        if outcome.instance_id is not None:
-            chunk.instance_id[offset] = outcome.instance_id
-        if outcome.billed_duration_s:
-            chunk.billed_duration_s[offset] = outcome.billed_duration_s
-        if outcome.attempts != 1:
-            chunk.attempts[offset] = outcome.attempts
-        if outcome.served_by:
-            chunk.served_by[offset] = outcome.served_by
-        breakdown = outcome.breakdown
-        if breakdown:
-            stages = chunk.stages
-            index = _STAGE_INDEX
-            for name, seconds in breakdown.items():
-                stages[offset, index[name]] = seconds
+            self._seal_ready()
 
     # -- sealing -----------------------------------------------------------
     def _seal_ready(self) -> None:
@@ -657,84 +495,27 @@ class ChunkedOutcomeRecorder:
                     or chunk.uncommitted
                     or chunk.max_send > horizon):
                 return
-            self.summary.fold(chunk.view(rows, self.error_names))
+            self.summary.fold(chunk.view(rows))
             del self._resident[self._base]
             self._free.append(chunk)
             self._base += 1
 
     # -- read side ---------------------------------------------------------
-    def _flush_inflight(self) -> None:
-        """Write the partial state of registered-but-uncommitted rows."""
-        rows = self.chunk_rows
-        for row, outcome in self._inflight.items():
-            index, offset = divmod(row, rows)
-            self._write_serve_fields(self._resident[index], offset, outcome)
-
-    def table(self) -> OutcomeTable:
-        """The recorded outcomes as one concatenated :class:`OutcomeTable`.
-
-        Only available with ``keep_chunks=True``; bit-identical to the
-        preallocated recorder's table (same values, same error
-        vocabulary, same hash) at any chunk size.
-        """
-        if not self.keep_chunks:
-            raise RuntimeError(
-                "a streaming recorder folds chunks as it goes; use "
-                "finalize() to obtain the OutcomeSummary")
-        self._flush_inflight()
-        return OutcomeTable(
-            request_id=self._concat("request_id"),
-            client_id=self._concat("client_id"),
-            send_time=self._concat("send_time"),
-            completion_time=self._concat("completion_time"),
-            success=self._concat("success"),
-            cold_start=self._concat("cold_start"),
-            instance_id=self._concat("instance_id"),
-            billed_duration_s=self._concat("billed_duration_s"),
-            inferences=self._concat("inferences"),
-            error_code=self._concat("error_code"),
-            stages=self._concat("stages"),
-            error_names=self.error_names,
-            attempts=self._concat("attempts"),
-            served_by=self._concat("served_by"),
-        )
-
-    def _concat(self, column: str) -> np.ndarray:
-        rows = self.chunk_rows
-        pieces = []
-        for index in sorted(self._resident):
-            chunk = self._resident[index]
-            n = min(self._count - index * rows, rows)
-            pieces.append(getattr(chunk, column)[:n])
-        if not pieces:
-            reference = getattr(_Chunk(0), column)
-            return reference
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0].copy()
-
-    def sealed_chunks(self):
-        """Iterate the resident chunks as trimmed tables (test hook)."""
-        rows = self.chunk_rows
-        for index in sorted(self._resident):
-            n = min(self._count - index * rows, rows)
-            yield self._resident[index].view(n, self.error_names)
-
     def finalize(self, horizon: float,
                  error: str = "unfinished") -> OutcomeSummary:
         """Fail still-open rows at ``horizon`` and fold every tail chunk.
 
-        Mirrors the full path's ``table()`` flush followed by
-        ``OutcomeTable.fail_unfinished(horizon)``: partial serve state
+        Mirrors the flat recorder's ``finalize``: partial serve state
         is written first, then open rows complete at
         ``max(horizon, send_time)`` as failures with ``error``.
         Returns the :class:`OutcomeSummary`; idempotent per run.
         """
-        if self.keep_chunks:
-            raise RuntimeError("finalize() is the streaming read side; "
-                               "retained recorders return table()")
         if self._finalized:
             return self.summary
-        self._flush_inflight()
         rows = self.chunk_rows
+        for row, outcome in self._inflight.items():
+            index, offset = divmod(row, rows)
+            self._resident[index].write_serve_fields(offset, outcome)
         if self._inflight:
             code = _intern_error(self.error_names, error)
             for row in self._inflight:
@@ -747,10 +528,14 @@ class ChunkedOutcomeRecorder:
                 chunk.uncommitted -= 1
             self._inflight.clear()
         for index in sorted(self._resident):
-            chunk = self._resident[index]
             n = min(self._count - index * rows, rows)
-            self.summary.fold(chunk.view(n, self.error_names))
+            self.summary.fold(self._resident[index].view(n))
         self._resident.clear()
         self._free.clear()
         self._finalized = True
         return self.summary
+
+    def run_metadata(self) -> Dict[str, float]:
+        """Ring counters for the run's metadata: peak residency and folds."""
+        return {"peak_resident_chunks": float(self.peak_resident_chunks),
+                "chunks_folded": float(self.summary.chunks_folded)}

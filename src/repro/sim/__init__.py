@@ -21,8 +21,6 @@ makes the paper's experiments reproducible in CI.
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -35,8 +33,6 @@ from repro.sim.randomness import RandomStreams
 from repro.sim.resources import Request, Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CounterMonitor",
     "Environment",
     "Event",

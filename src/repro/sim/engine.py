@@ -9,7 +9,8 @@ triggers.
 
 The engine is intentionally small but complete enough to model serving
 platforms: timeouts, triggerable events, process interruption, and
-composite conditions (``AnyOf`` / ``AllOf``).
+first-of-two races (:class:`Race`, the guard-timer pattern every
+request uses).
 
 Performance notes
 -----------------
@@ -65,9 +66,9 @@ workload stays O(live) in memory.  Cancellation semantics:
   run, ``ok`` becomes ``None``, and ``cancelled`` is ``True``.
 * ``cancel()`` on an already-processed event is a no-op returning
   ``False``.
-* A cancelled event never satisfies an ``AnyOf``/``AllOf`` member test
-  (its ``ok`` is ``None``), and yielding a cancelled event from a
-  process is a :class:`SimulationError`.
+* A cancelled event never wins a :class:`Race` (its ``ok`` is
+  ``None``), and yielding a cancelled event from a process is a
+  :class:`SimulationError`.
 
 Calendar-bucket queue
 ---------------------
@@ -93,7 +94,7 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
     "SimulationError",
@@ -101,8 +102,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
     "Race",
     "BucketCalendar",
     "Environment",
@@ -395,95 +394,21 @@ class Process(Event):
         self._target = result
 
 
-class _Condition(Event):
-    """Base class for ``AnyOf`` / ``AllOf`` composite events."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        Event.__init__(self, env)
-        self._events = events = list(events)
-        for event in events:
-            if event.env is not env:
-                raise SimulationError(
-                    "cannot mix events of different environments")
-        # Only attach observers once the whole set has been validated,
-        # so a mixed-environment error does not leak callbacks onto the
-        # events that preceded it.
-        observe = self._observe
-        for event in events:
-            if event.callbacks is None:
-                if event._ok is False:
-                    event._defused = True
-            else:
-                event.callbacks.append(observe)
-        self._check()
-
-    def _observe(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._ok is False:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._check()
-
-    def _collect(self) -> dict[Event, Any]:
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok
-        }
-
-    def _check(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any of the given events has triggered."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self._triggered:
-            return
-        events = self._events
-        if not events or any(event.callbacks is None and event._ok
-                             for event in events):
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers once all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self._triggered:
-            return
-        if all(event.callbacks is None and event._ok
-               for event in self._events):
-            self.succeed(self._collect())
-
-
 class Race(Event):
-    """First-of-two specialisation of :class:`AnyOf` for guard-timer races.
+    """First of two events: the guard-timer race.
 
     Every simulated request runs two of these (response vs request
-    deadline on the client, queue-get vs keep-alive on the instance), so
-    the general condition machinery — member list, observer genexprs,
-    result-dict collection — was pure per-request overhead.  ``Race``
-    triggers with the **winning event** as its value.
+    deadline on the client, queue-get vs keep-alive on the instance).
+    ``Race`` triggers with the **winning event** as its value; a failed
+    member fails the race (and is defused), and a cancelled member never
+    wins.
 
     The win is handed to the race's waiters *synchronously*, inside the
     winning event's own callback cascade, instead of travelling through
-    an extra calendar entry the way a generic condition's ``succeed``
-    does.  At two races per request that removes two of the ~10 calendar
-    entries each request used to cost.  The only observable difference
-    is that the waiter resumes within the winner's pop rather than one
-    (zero-delay) entry later — i.e. slightly earlier relative to other
-    events scheduled at the exact same timestamp.  Both events must
-    belong to this environment.
+    an extra calendar entry: the waiter resumes within the winner's pop,
+    i.e. ahead of other events scheduled at the exact same timestamp.
+    Only a race built over an already-processed winner triggers through
+    the calendar.  Both events must belong to this environment.
     """
 
     __slots__ = ("_a", "_b")
@@ -495,9 +420,9 @@ class Race(Event):
                 "cannot mix events of different environments")
         self._a = a
         self._b = b
-        # Mirror _Condition: already-processed failed members are defused
-        # at construction; an already-processed ok member wins outright
-        # (through the calendar, like AnyOf's constructor _check).
+        # Already-processed failed members are defused at construction;
+        # an already-processed ok member wins outright (through the
+        # calendar).
         winner = None
         a_done = a.callbacks is None
         b_done = b.callbacks is None
@@ -676,17 +601,9 @@ class Environment:
         """Register ``generator`` as a new process, started at the current time."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event triggering when any of ``events`` triggers."""
-        return AnyOf(self, events)
-
     def race(self, a: Event, b: Event) -> Race:
-        """First-of-two event (lightweight ``any_of``; value = the winner)."""
+        """First-of-two event (value = the winning event)."""
         return Race(self, a, b)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,

@@ -1,5 +1,6 @@
 """Tests for the planner, executor, analyzer, metrics, and benchmark façade."""
 
+import numpy as np
 import pytest
 
 from repro.core import Analyzer, LatencyStats, Planner, ServingBenchmark, percentile
@@ -95,21 +96,43 @@ class TestBenchmarkAndExecutor:
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
         assert result.total_requests == tiny_w40.count
-        assert all(o.completion_time is not None for o in result.outcomes)
+        assert not np.isnan(result.table.completion_time).any()
         assert result.duration_s > 0
         assert result.workload_name == "w-40"
 
     def test_request_ids_unique(self, bench, planner, tiny_w40):
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
-        ids = [o.request_id for o in result.outcomes]
+        ids = result.table.request_id.tolist()
         assert len(ids) == len(set(ids))
 
     def test_clients_are_assigned(self, bench, planner, tiny_w40):
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
-        clients = {o.client_id for o in result.outcomes}
+        clients = set(result.table.client_id.tolist())
         assert clients == set(range(8))
+
+    @pytest.mark.parametrize("broken", ["ledger", "rows"])
+    def test_ledger_outcome_disagreement_raises(self, monkeypatch, bench,
+                                                planner, tiny_w40, broken):
+        from repro.platforms.serverless import ServerlessPlatform
+        from repro.serving.outcome_table import OutcomeTable
+        if broken == "ledger":
+            finalize = ServerlessPlatform.finalize
+
+            def lossy_finalize(self, *args, **kwargs):
+                usage = finalize(self, *args, **kwargs)
+                usage.notes["completed"] -= 1
+                return usage
+            monkeypatch.setattr(ServerlessPlatform, "finalize",
+                                lossy_finalize)
+        else:
+            monkeypatch.setattr(OutcomeTable, "count", property(
+                lambda self: int(self.send_time.shape[0]) + 1))
+        deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
+        with pytest.raises(RuntimeError,
+                           match=f"{deployment.label}@w-40"):
+            bench.run(deployment, tiny_w40)
 
     def test_run_many_and_matrix(self, bench, planner, tiny_w40):
         deployments = [

@@ -449,7 +449,7 @@ class TestAttemptsColumn:
         table = self._table([1, 3, 2])
         assert table.attempts.tolist() == [1, 3, 2]
         assert table.attempts_mean() == pytest.approx(2.0)
-        assert table.row(1).attempts == 3
+        assert int(table.attempts[1]) == 3
 
     def test_retry_free_attempts_preserve_historical_hashes(self):
         # An all-ones attempts column is the pre-column default: it

@@ -1,5 +1,6 @@
 """Integration-level tests for the serverless platform simulation."""
 
+import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
@@ -15,6 +16,11 @@ def run_serverless(bench, planner, workload, provider="aws",
     return bench.run(deployment, workload)
 
 
+def cold_latencies(table):
+    """Latencies of the successful cold-start requests."""
+    return table.latency[table.success & table.cold_start]
+
+
 class TestServerlessBasics:
     def test_all_requests_succeed(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
@@ -23,19 +29,20 @@ class TestServerlessBasics:
 
     def test_cold_starts_happen_and_are_flagged(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
-        cold = [o for o in result.successful if o.cold_start]
+        table = result.table
+        cold = np.flatnonzero(table.success & table.cold_start)[:20]
         assert result.usage.cold_starts > 0
-        assert cold, "at least some requests must be cold-start requests"
-        for outcome in cold[:20]:
-            assert outcome.stage(Stage.IMPORT) > 0
-            assert outcome.stage(Stage.LOAD) > 0
-            assert outcome.latency > 2.0
+        assert cold.size, "at least some requests must be cold-start requests"
+        assert (table.stage_column(Stage.IMPORT)[cold] > 0).all()
+        assert (table.stage_column(Stage.LOAD)[cold] > 0).all()
+        assert (table.latency[cold] > 2.0).all()
 
     def test_warm_requests_are_fast(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
-        warm = [o for o in result.successful if not o.cold_start]
-        assert warm
-        mean_warm = sum(o.latency for o in warm) / len(warm)
+        table = result.table
+        warm = table.latency[table.success & ~table.cold_start]
+        assert warm.size
+        mean_warm = float(warm.mean())
         # Warm requests are far faster than the ~9 s cold start; a small
         # share of them still queues behind in-flight cold starts at this
         # tiny workload scale, so the bound is loose.
@@ -55,9 +62,10 @@ class TestServerlessBasics:
 
     def test_vgg_skips_download_stage(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40, model="vgg")
-        cold = [o for o in result.successful if o.cold_start]
-        assert cold
-        assert all(o.stage(Stage.DOWNLOAD) == 0.0 for o in cold)
+        table = result.table
+        cold = table.success & table.cold_start
+        assert cold.any()
+        assert (table.stage_column(Stage.DOWNLOAD)[cold] == 0.0).all()
 
     def test_reproducible_with_same_seed(self, planner, tiny_w40):
         first = ServingBenchmark(seed=9).run(
@@ -114,10 +122,9 @@ class TestServerlessDesignSpace:
         base = run_serverless(bench, planner, tiny_w40)
         heavy = run_serverless(bench, planner, tiny_w40,
                                extra_download_mb=300.0)
-        base_cold = [o.latency for o in base.successful if o.cold_start]
-        heavy_cold = [o.latency for o in heavy.successful if o.cold_start]
-        assert (sum(heavy_cold) / len(heavy_cold)
-                > sum(base_cold) / len(base_cold) + 1.0)
+        base_cold = cold_latencies(base.table)
+        heavy_cold = cold_latencies(heavy.table)
+        assert heavy_cold.mean() > base_cold.mean() + 1.0
 
     def test_inferences_per_request_scale_latency(self, bench, planner,
                                                   tiny_w40):

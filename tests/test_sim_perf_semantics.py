@@ -5,7 +5,7 @@ O(1) platform accounting, parallel cell fan-out) must not change any
 observable behaviour.  These tests pin down the contracts:
 
 * :meth:`Event.cancel` semantics before/after processing and inside
-  ``AnyOf`` conditions, including tombstone reclamation.
+  :meth:`Environment.race`, including tombstone reclamation.
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
 * ``run_matrix(workers=N)`` returns results identical to serial mode.
@@ -61,8 +61,8 @@ class TestCancellableTimers:
         def proc():
             fast = env.timeout(1.0, value="fast")
             guard = env.timeout(300.0, value="guard")
-            result = yield env.any_of([fast, guard])
-            assert guard not in result
+            winner = yield env.race(fast, guard)
+            assert winner is fast
             guard.cancel()
             log.append(env.now)
 
@@ -79,8 +79,8 @@ class TestCancellableTimers:
             early = env.timeout(2.0, value="early")
             late = env.timeout(8.0, value="late")
             early.cancel()
-            result = yield env.any_of([early, late])
-            results.append((env.now, early in result, late in result))
+            winner = yield env.race(early, late)
+            results.append((env.now, winner is early, winner is late))
 
         env.process(proc())
         env.run()
@@ -184,7 +184,7 @@ class TestParallelEquality:
         return (result.total_requests, result.success_ratio,
                 result.average_latency, result.cost,
                 result.usage.instances_created, result.usage.cold_starts,
-                [outcome.completion_time for outcome in result.outcomes])
+                result.table.completion_time.tolist())
 
     def test_run_matrix_parallel_identical_to_serial(self):
         planner = Planner()

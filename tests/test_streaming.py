@@ -2,14 +2,14 @@
 
 Four guarantees of the streaming engine are pinned here:
 
-* **Chunk-ring equality** — the chunked recorder, at any chunk size,
-  retains columns bit-identical to the preallocated ``OutcomeRecorder``
-  (same ``column_hash``), and its sealed chunks survive the ``packed()``
-  wire format losslessly.
+* **Chunk-ring equality** — the chunks the streaming ring folds, at any
+  chunk size, concatenate to columns bit-identical to the preallocated
+  ``OutcomeRecorder``'s (same ``column_hash``), and each folded chunk
+  survives the ``packed()`` wire format losslessly.
 * **Streaming reductions** — a cell run through the streaming path
   (``OutcomeSummary`` folds, no full table) reproduces every standard
-  metric: counts, ratios, and timelines exactly; sketch quantiles within
-  the sketch's documented resolution.
+  reduction: counts, ratios, and timelines exactly; sketch quantiles and
+  SLO attainment within one sketch bin.
 * **Calendar-queue bit-identity** — forcing the heap-to-bucket migration
   at tiny thresholds changes neither the outcome columns nor the event
   count of a cell.
@@ -26,11 +26,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.benchmark as benchmark_module
 import repro.sim.engine as engine
 from repro.core.benchmark import ServingBenchmark
 from repro.core.results import RunResult
 from repro.core.shm import ShmPayload, pack_arrays, unpack_arrays
-from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
+from repro.core.study import _standard_metrics
+from repro.serving.outcome_table import (
+    _COLUMN_NAMES,
+    OutcomeRecorder,
+    OutcomeTable,
+)
 from repro.serving.streaming import (
     ChunkedOutcomeRecorder,
     LatencySketch,
@@ -56,41 +62,92 @@ def reference_result(tiny_w40):
     return ServingBenchmark(seed=SEED).run(deployment, tiny_w40), deployment
 
 
-def _replay(outcomes, chunk_rows: int) -> ChunkedOutcomeRecorder:
-    """Feed materialised outcomes through a retained chunk ring."""
-    recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows,
-                                      keep_chunks=True)
-    for outcome in outcomes:
-        recorder.register(outcome)
-    for outcome in outcomes:
-        recorder.commit(outcome)
-    return recorder
+class _KeepingSummary(OutcomeSummary):
+    """A summary that also keeps a copy of every chunk it folds."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def fold(self, table):
+        self.chunks.append({name: getattr(table, name).copy()
+                            for name in _COLUMN_NAMES})
+        super().fold(table)
+
+
+def _streamed_chunks(monkeypatch, deployment, workload, chunk_rows):
+    """Run a cell through the streaming ring; return its folded chunks
+    as tables (in fold order) and the ring's error vocabulary."""
+    rings = []
+
+    def keeping_ring(**kwargs):
+        rings.append(ChunkedOutcomeRecorder(summary=_KeepingSummary(),
+                                            **kwargs))
+        return rings[-1]
+
+    monkeypatch.setattr(benchmark_module, "ChunkedOutcomeRecorder",
+                        keeping_ring)
+    ServingBenchmark(seed=SEED, streaming_threshold=0,
+                     chunk_rows=chunk_rows).run(deployment, workload)
+    ring, = rings
+    names = ring.error_names
+    return ([OutcomeTable(**chunk, error_names=names)
+             for chunk in ring.summary.chunks], names)
 
 
 class TestChunkRingEquality:
     @pytest.mark.parametrize("chunk_rows", [7, 256, 4096, 1_000_000])
-    def test_any_chunk_size_matches_preallocated_hash(self,
+    def test_any_chunk_size_matches_preallocated_hash(self, monkeypatch,
                                                       reference_result,
+                                                      tiny_w40,
                                                       chunk_rows):
-        result, _deployment = reference_result
-        outcomes = result.table.to_outcomes()
-        recorder = _replay(outcomes, chunk_rows)
-        assert recorder.table().column_hash() == result.table.column_hash()
+        result, deployment = reference_result
+        chunks, names = _streamed_chunks(monkeypatch, deployment, tiny_w40,
+                                         chunk_rows)
+        joined = OutcomeTable(
+            **{name: np.concatenate([getattr(chunk, name)
+                                     for chunk in chunks])
+               for name in _COLUMN_NAMES},
+            error_names=names)
+        assert joined.column_hash() == result.table.column_hash()
 
-    def test_sealed_chunks_survive_packed_round_trip(self,
-                                                     reference_result):
-        result, _deployment = reference_result
-        recorder = _replay(result.table.to_outcomes(), chunk_rows=256)
-        chunks = list(recorder.sealed_chunks())
+    def test_sealed_chunks_survive_packed_round_trip(self, monkeypatch,
+                                                     reference_result,
+                                                     tiny_w40):
+        result, deployment = reference_result
+        chunks, _names = _streamed_chunks(monkeypatch, deployment, tiny_w40,
+                                          chunk_rows=256)
+        assert len(chunks) > 1
         assert sum(chunk.count for chunk in chunks) == result.table.count
         for chunk in chunks:
             rebuilt = OutcomeTable.from_packed(chunk.packed())
             assert rebuilt.column_hash() == chunk.column_hash()
 
+    def test_finalize_flushes_in_flight_rows_like_the_flat_recorder(self):
+        """A row still open at the horizon keeps its accrued serve state
+        and fails with ``"unfinished"`` on both recorders."""
+        from repro.serving.records import RequestOutcome, Stage
+        flat = OutcomeRecorder(capacity=2)
+        ring = ChunkedOutcomeRecorder(chunk_rows=4,
+                                      summary=_KeepingSummary())
+        for recorder in (flat, ring):
+            outcome = RequestOutcome(request_id=0, client_id=0,
+                                     send_time=1.0)
+            recorder.register(outcome)
+            outcome.add_stage(Stage.NETWORK, 0.25)
+            outcome.instance_id = 3
+        table = flat.finalize(10.0)
+        chunk, = ring.finalize(10.0).chunks
+        folded = OutcomeTable(**chunk, error_names=ring.error_names)
+        assert folded.column_hash() == table.column_hash()
+        assert table.stage_column(Stage.NETWORK)[0] == 0.25
+        assert table.instance_id[0] == 3
+        assert table.completion_time[0] == 10.0 and not table.success[0]
+        assert table.error_names[table.error_code[0]] == "unfinished"
+
     def test_commit_after_fold_is_a_hard_error(self):
         from repro.serving.records import RequestOutcome
-        recorder = ChunkedOutcomeRecorder(chunk_rows=4, keep_chunks=False,
-                                          seal_lag_s=0.0)
+        recorder = ChunkedOutcomeRecorder(chunk_rows=4, seal_lag_s=0.0)
         outcomes = []
         for index in range(8):
             outcome = RequestOutcome(request_id=index, client_id=0,
@@ -126,8 +183,8 @@ class TestStreamingReductions:
         assert not full.streaming
         assert streamed.streaming
         assert isinstance(streamed.table, OutcomeSummary)
-        with pytest.raises(RuntimeError):
-            streamed.outcomes  # noqa: B018 - the raise is the assertion
+        # No per-request rows survive a streamed run.
+        assert not hasattr(streamed.table, "send_time")
 
     def test_exact_reductions_match(self, pair):
         full, streamed = pair
@@ -172,8 +229,7 @@ class TestStreamingReductions:
 
     def test_mid_run_sealing_bounds_residency(self):
         from repro.serving.records import RequestOutcome
-        recorder = ChunkedOutcomeRecorder(chunk_rows=128, keep_chunks=False,
-                                          seal_lag_s=20.0)
+        recorder = ChunkedOutcomeRecorder(chunk_rows=128, seal_lag_s=20.0)
         rows = 128 * 36
         for index in range(rows):
             send = index * 0.5  # one chunk spans 64 s >> the 20 s lag
@@ -196,6 +252,80 @@ class TestStreamingReductions:
         assert rebuilt.streaming
         assert rebuilt.table.digest() == streamed.table.digest()
         assert rebuilt.success_ratio == streamed.success_ratio
+
+
+#: Relative width of one :class:`LatencySketch` bin (~0.4 %).
+_SKETCH_BIN = (LatencySketch().hi / LatencySketch().lo) ** (
+    1.0 / LatencySketch().bins)
+
+#: (platform, chunk rows) of each full/streamed pair: the serverless and
+#: hybrid cells folded over many 128-row chunks, and the hybrid cell
+#: folded in one chunk (where even the float means reduce identically).
+_PARITY_CELLS = [("serverless", 128), ("hybrid", 128), ("hybrid", 1 << 20)]
+
+
+@pytest.fixture(scope="module", params=_PARITY_CELLS,
+                ids=lambda cell: f"{cell[0]}-chunk{cell[1]}")
+def parity_pair(request, tiny_w40):
+    """One cell through the preallocated table and the streaming ring."""
+    from repro.core.planner import Planner
+    platform, chunk_rows = request.param
+    overrides = ({"hybrid_provisioned_instances": 1}
+                 if platform == "hybrid" else {})
+    deployment = Planner().plan("aws", "mobilenet", "tf1.15", platform,
+                                **overrides)
+    full = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
+    streamed = ServingBenchmark(seed=SEED, streaming_threshold=0,
+                                chunk_rows=chunk_rows).run(deployment,
+                                                           tiny_w40)
+    return full, streamed, chunk_rows
+
+
+class TestReductionParity:
+    """Both outcome stores answer the shared reduction surface alike."""
+
+    def test_reductions_agree(self, parity_pair):
+        full, streamed, chunk_rows = parity_pair
+        table, summary = full.table, streamed.table
+        assert not full.streaming and streamed.streaming
+        # Integer tallies: exact.
+        assert summary.success_ratio == table.success_ratio
+        assert summary.cold_start_ratio == table.cold_start_ratio
+        assert summary.attempts_mean() == table.attempts_mean()
+        assert summary.degraded_ratio() == table.degraded_ratio()
+        assert summary.spill_ratio() == table.spill_ratio()
+        for got, want in zip(summary.success_timeline(10.0),
+                             table.success_timeline(10.0)):
+            assert np.array_equal(got, want)
+        for bin_s in (5.0, 10.0):
+            assert summary.availability(bin_s) == table.availability(bin_s)
+            for after_s in (0.0, 30.0):
+                assert (np.array_equal(summary.time_to_recover(after_s, bin_s),
+                                       table.time_to_recover(after_s, bin_s),
+                                       equal_nan=True))
+        # Latency means: running sums.  Folded in one chunk they reduce
+        # the same values in the same order as the table (bit-identical);
+        # over many chunks only float summation order differs.
+        rel = 0.0 if chunk_rows >= table.count else 1e-12
+        for code in range(3):
+            got = summary.path_latency_mean(code)
+            want = table.path_latency_mean(code)
+            assert (np.isnan(got) and np.isnan(want)) or \
+                got == pytest.approx(want, rel=rel, abs=0.0)
+        # Quantiles and SLO attainment: within one sketch bin.
+        sketch, exact = summary.latency_stats(), table.latency_stats()
+        for name in ("p50", "p90", "p95", "p99"):
+            assert getattr(sketch, name) == pytest.approx(
+                getattr(exact, name), rel=_SKETCH_BIN - 1.0)
+        for target_s in (0.5, 1.0, 5.0):
+            assert (table.slo_attainment(target_s)
+                    <= summary.slo_attainment(target_s)
+                    <= table.slo_attainment(target_s * _SKETCH_BIN))
+
+    def test_standard_metrics_keys_agree(self, parity_pair):
+        full, streamed, _chunk_rows = parity_pair
+        assert (list(_standard_metrics(streamed))
+                == list(_standard_metrics(full)))
 
 
 class TestLatencySketch:
