@@ -113,6 +113,7 @@ class TargetTrackingScaler:
 
     def run(self):
         """The scaler's periodic process (register with ``env.process``)."""
+        period = float(self.evaluation_period_s)
         while True:
-            yield self.env.timeout(self.evaluation_period_s)
+            yield period
             self.evaluate_once()

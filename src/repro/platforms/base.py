@@ -96,27 +96,22 @@ class ServingPlatform(abc.ABC):
         """Per-request parsing/serialisation overhead for this family."""
         return self.profiles.handler_overhead_s(self.family)
 
-    def _transfer_time(self, payload_mb: float) -> float:
-        """One network leg; inlined ``NetworkModel.transfer_time``."""
+    def _network_leg(self, outcome: RequestOutcome, payload_mb: float
+                     ) -> float:
+        """One client<->endpoint transfer of ``payload_mb`` megabytes.
+
+        Inlined ``NetworkModel.transfer_time``; the duration is charged
+        to the outcome's network stage and returned for the caller to
+        sleep.
+        """
         latency = self._net_latency_s
         if self._net_jitter_cv > 0:
             latency = self.rng.lognormal_around("network", latency,
                                                 self._net_jitter_cv)
-        return latency + payload_mb / self._net_bandwidth
-
-    def _network_up(self, outcome: RequestOutcome, payload_mb: float):
-        """Simulate the client-to-endpoint transfer; returns a timeout event."""
-        duration = self._transfer_time(payload_mb)
+        duration = latency + payload_mb / self._net_bandwidth
         breakdown = outcome.breakdown
         breakdown["network"] = breakdown.get("network", 0.0) + duration
-        return self.env.timeout(duration)
-
-    def _network_down(self, outcome: RequestOutcome, response_mb: float):
-        """Simulate the endpoint-to-client transfer; returns a timeout event."""
-        duration = self._transfer_time(response_mb)
-        breakdown = outcome.breakdown
-        breakdown["network"] = breakdown.get("network", 0.0) + duration
-        return self.env.timeout(duration)
+        return duration
 
 
 def build_platform(env: Environment, deployment: Deployment,

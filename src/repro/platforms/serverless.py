@@ -165,7 +165,7 @@ class ServerlessPlatform(ServingPlatform):
     # --------------------------------------------------------------- client
     def _client_request(self, outcome: RequestOutcome, payload_mb: float,
                         response_mb: float):
-        yield self._network_up(outcome, payload_mb)
+        yield self._network_leg(outcome, payload_mb)
         if self._admission_faults:
             if (self._shed_watermark
                     and self.pool.ready < self._shed_watermark):
@@ -195,15 +195,16 @@ class ServerlessPlatform(ServingPlatform):
         # The response won the race: withdraw the 300 s guard timer so it
         # does not rot in the calendar until the platform kill deadline.
         deadline.cancel()
-        yield self._network_down(outcome, response_mb)
+        yield self._network_leg(outcome, response_mb)
         outcome.finish(self.env.now, success=True)
         self.meter.record_completed()
         return outcome
 
     # --------------------------------------------------------------- scaling
     def _scaler_loop(self):
+        interval = float(self.policy.interval_s)
         while True:
-            yield self.env.timeout(self.policy.interval_s)
+            yield interval
             self._scale_out()
 
     def _scale_out(self) -> None:
@@ -286,20 +287,20 @@ class ServerlessPlatform(ServingPlatform):
         pull = self.provider.registry.pull_time(self._image_mb, self.rng)
         stages.sandbox_s = pull + self._jitter(
             self._traits.sandbox_setup_s, _STAGE_JITTER_CV, "sandbox")
-        yield self.env.timeout(stages.sandbox_s)
+        yield stages.sandbox_s
 
         stages.import_s = self._jitter(
             self._import_time_s, _STAGE_JITTER_CV, "import")
-        yield self.env.timeout(stages.import_s)
+        yield stages.import_s
 
         if self._download_mb > 0:
             stages.download_s = self.provider.storage.download_time(
                 self._download_mb, self.rng)
-            yield self.env.timeout(stages.download_s)
+            yield stages.download_s
 
         stages.load_s = self._jitter(
             self._load_time_s, _STAGE_JITTER_CV, "load")
-        yield self.env.timeout(stages.load_s)
+        yield stages.load_s
         instance.cold_stages = stages
 
     def _instance_loop(self, instance: PoolInstance, prewarmed: bool,
@@ -392,7 +393,7 @@ class ServerlessPlatform(ServingPlatform):
             predict += self.rng.lognormal_sum(
                 "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
                 inferences - 1)
-        yield self.env.timeout(handler + predict)
+        yield handler + predict
 
         breakdown[Stage.HANDLER] = handler
         breakdown[Stage.PREDICT] = predict

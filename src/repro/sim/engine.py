@@ -3,9 +3,9 @@
 The engine follows the classic event-calendar design: a binary heap of
 ``(time, priority, sequence, event)`` entries is popped in order, each
 popped event runs its callbacks, and callbacks may schedule further
-events.  Processes are plain Python generators that ``yield`` events; the
-:class:`Process` wrapper resumes the generator whenever the yielded event
-triggers.
+events.  Processes are plain Python generators that ``yield`` events (or
+a ``float`` delay, a plain sleep); the :class:`Process` wrapper resumes
+the generator whenever the yielded event triggers.
 
 The engine is intentionally small but complete enough to model serving
 platforms: timeouts, triggerable events, process interruption, and
@@ -28,6 +28,15 @@ speed:
   ``(ok, value)`` to :meth:`Process._resume`.  These now push a raw
   6-tuple ``(time, priority, sequence, process, ok, value)`` onto the
   calendar, and the scheduler resumes the generator directly.
+
+* Plain sleeps: a wait nothing else observes is ``yield delay`` with
+  an exact ``float`` delay (``yield 42`` is still an error; a negative
+  or NaN delay raises :class:`SimulationError`).  :meth:`Process._step`
+  pushes a raw resume entry, NORMAL priority, drawing its sequence
+  number where ``env.timeout()`` would have, so the pop order is
+  unchanged and no :class:`Timeout`, callbacks list or ``_resume``
+  hop is paid.  After an interrupt the entry is still popped, counted
+  and resumes the generator, exactly as a stale ``Timeout`` does.
 
 * Starting a process runs its first step *inline*: the generator
   advances to its first ``yield`` within ``env.process()`` itself
@@ -142,9 +151,9 @@ class Interrupt(Exception):
 class Event:
     """An event that may be triggered once and then calls its callbacks.
 
-    Events are the only objects a process may ``yield``.  An event is
-    *triggered* when a value (or an exception) has been scheduled for it,
-    and *processed* once its callbacks have run.
+    Events and ``float`` delays are all a process may ``yield``.  An
+    event is *triggered* when a value (or an exception) has been
+    scheduled for it, and *processed* once its callbacks have run.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
@@ -219,15 +228,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        env = self.env
-        entry = (env._now + delay, NORMAL, next(env._sequence), self)
-        if env._calendar is None:
-            queue = env._queue
-            heappush(queue, entry)
-            if len(queue) >= env._bucket_threshold:
-                env._migrate_to_buckets()
-        else:
-            env._calendar.push(entry)
+        self.env._schedule(self, delay)
         return self
 
     def cancel(self) -> bool:
@@ -271,16 +272,19 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed delay.
 
-    Guard timers that usually lose their race (request deadlines,
-    keep-alives) should be :meth:`~Event.cancel`-ed by the winner so the
+    A process that only waits yields a ``float`` delay instead (a plain
+    sleep).  A ``Timeout`` is for waits that must be events: raced
+    (deadlines, keep-alives, hedge timers), cancelled, carrying a value
+    or given callbacks (fault timers).  Guard timers that usually lose
+    their race should be :meth:`~Event.cancel`-ed by the winner so the
     calendar does not fill up with dead entries.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay: {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -306,14 +310,13 @@ class Process(Event):
     (successfully, with the generator's return value) or raises.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
             raise SimulationError("process() requires a generator")
         Event.__init__(self, env)
         self._generator = generator
-        self._target: Optional[Event] = None
         # Run the first step inline: no calendar entry, and a bad first
         # yield (non-event) surfaces here, at the env.process() call.
         # _step() always leaves env._active_process at None, so the
@@ -380,6 +383,21 @@ class Process(Event):
             return
         env._active_process = None
 
+        if result.__class__ is float:
+            # Plain sleep: a raw resume entry, taking its sequence number
+            # where env.timeout() would have.
+            if not result >= 0:
+                raise SimulationError(f"invalid sleep delay: {result!r}")
+            entry = (env._now + result, NORMAL, next(env._sequence), self,
+                     True, None)
+            if env._calendar is None:
+                queue = env._queue
+                heappush(queue, entry)
+                if len(queue) >= env._bucket_threshold:
+                    env._migrate_to_buckets()
+            else:
+                env._calendar.push(entry)
+            return
         if not isinstance(result, Event):
             raise SimulationError(
                 f"process yielded a non-event value: {result!r}")
@@ -391,7 +409,6 @@ class Process(Event):
             env._schedule_resume(self, result._ok, result._value)
         else:
             result.callbacks.append(self._resume)
-        self._target = result
 
 
 class Race(Event):
@@ -719,9 +736,9 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar is exhausted or ``until`` is reached."""
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
-                f"until ({until!r}) must not be before now ({self._now!r})")
+                f"until ({until!r}) must be a time >= now ({self._now!r})")
         # Inlined step() loop: popping, tombstone skipping, and callback
         # dispatch in one frame is worth ~25% wall-clock on full runs.
         # Two inlined loops, actually: the heap loop and the bucket loop.

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import numpy as np
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError, engine
@@ -25,6 +26,10 @@ class TestClockAndTimeouts:
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
+    def test_nan_timeout_rejected(self, env):
+        with pytest.raises(SimulationError):
+            env.timeout(float("nan"))
+
     def test_run_until_stops_early(self, env):
         log = []
 
@@ -41,6 +46,12 @@ class TestClockAndTimeouts:
         env.run(until=3.0)
         with pytest.raises(SimulationError):
             env.run(until=1.0)
+
+    def test_run_until_nan_rejected(self, env):
+        env.timeout(1.0)
+        with pytest.raises(SimulationError):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
 
     def test_events_processed_in_time_order(self, env):
         order = []
@@ -282,3 +293,115 @@ class TestConditions:
         assert Race is not None and Timeout is not None
         assert {"Race", "Timeout"} <= set(engine.__all__)
         assert "AnyOf" not in engine.__all__ and "AllOf" not in engine.__all__
+
+
+class TestPlainSleeps:
+    """``yield <float>``: a wait with no event object behind it."""
+
+    @staticmethod
+    def _clock_log(env, wait):
+        log = []
+
+        def proc():
+            for delay in (1.0, 0.0, 2.5):
+                yield wait(delay)
+                log.append(env.now)
+
+        env.process(proc())
+        env.run()
+        return log, env.events_processed
+
+    def test_sleep_advances_clock_like_timeout(self):
+        slept = self._clock_log(Environment(), lambda delay: delay)
+        timed = Environment()
+        assert slept == self._clock_log(timed, timed.timeout)
+        assert slept == ([1.0, 1.0, 3.5], 3)
+
+    def test_sleep_counted_once_in_events_processed(self, env):
+        def proc():
+            yield 1.0
+
+        env.process(proc())
+        env.run()
+        assert env.events_processed == 1
+
+    @pytest.mark.parametrize("first", ["sleep", "timeout"])
+    def test_tie_with_timeout_pops_in_program_order(self, env, first):
+        order = []
+
+        def sleeper():
+            yield 1.0
+            order.append("sleep")
+
+        def waiter():
+            yield env.timeout(1.0)
+            order.append("timeout")
+
+        starts = {"sleep": sleeper, "timeout": waiter}
+        second = "timeout" if first == "sleep" else "sleep"
+        env.process(starts[first]())
+        env.process(starts[second]())
+        env.process(starts[first]())
+        env.run()
+        assert order == [first, second, first]
+
+    def test_sleep_in_bucket_calendar(self):
+        def run(threshold):
+            env = Environment(bucket_threshold=threshold)
+            order = []
+
+            def proc(name, delays):
+                for delay in delays:
+                    yield delay
+                    order.append((env.now, name))
+
+            for name in range(20):
+                env.process(proc(name, [0.5 * (name % 3), 1.0, 0.25]))
+            env.run()
+            return order, env.events_processed
+
+        assert run(4) == run(None)
+
+    def test_interrupt_during_sleep_matches_timeout(self):
+        """Interrupt delivery and the stale entry behave as a Timeout's."""
+        def scenario(use_sleep):
+            env = Environment()
+            log = []
+
+            def victim():
+                try:
+                    yield 5.0 if use_sleep else env.timeout(5.0)
+                except Interrupt as interrupt:
+                    log.append(("caught", env.now, interrupt.cause))
+                value = yield env.event()
+                log.append(("resumed", env.now, value))
+
+            def attacker(target):
+                yield env.timeout(1.0)
+                target.interrupt("stop")
+
+            env.process(attacker(env.process(victim())))
+            env.run()
+            return log, env.events_processed
+
+        slept = scenario(use_sleep=True)
+        assert slept == scenario(use_sleep=False)
+        assert slept[0][0] == ("caught", 1.0, "stop")
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_invalid_sleep_rejected(self, env, delay):
+        def bad():
+            yield 1.0
+            yield delay
+
+        env.process(bad())
+        with pytest.raises(SimulationError):
+            env.run()
+
+    @pytest.mark.parametrize("delay", [1, True, np.float64(1.0)])
+    def test_only_exact_float_sleeps(self, env, delay):
+        def bad():
+            yield delay
+
+        with pytest.raises(SimulationError):
+            env.process(bad())

@@ -9,10 +9,15 @@ observable behaviour.  These tests pin down the contracts:
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
 * ``run_matrix(workers=N)`` returns results identical to serial mode.
+* Plain waits in the library yield their delay, not a ``Timeout``.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
 from repro.core.planner import Planner
@@ -216,3 +221,22 @@ class TestParallelEquality:
                                     "serverless")
         result = ServingBenchmark(seed=5).run(deployment, tiny_w40)
         assert result.metadata["events_processed"] > 0
+
+
+class TestPlainSleepsInLibrary:
+    def test_no_yielded_timeout_statements(self):
+        """``yield <x>.timeout(...)`` as a statement is a plain wait.
+
+        It must be written ``yield <delay>`` (no event object); a
+        ``Timeout`` belongs bound to a name, raced or cancelled.
+        """
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Expr)
+                        and isinstance(node.value, ast.Yield)
+                        and isinstance(node.value.value, ast.Call)
+                        and isinstance(node.value.value.func, ast.Attribute)
+                        and node.value.value.func.attr == "timeout"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
