@@ -13,10 +13,10 @@
 # an active chaos schedule), the routing probe (the multi-region
 # router's decision cycle under active breakers), the hybrid probe
 # (the probe cell spilling from an undersized provisioned fleet to
-# serverless), the streaming probe (chunked recorder fold +
-# calendar-queue cycle, with flat-RSS and resident-chunk residency
-# gates), and the search probe (the successive-halving schedule over
-# a 512-candidate closed-form surface), each compared against
+# serverless), the streaming probe (chunked recorder fold, with
+# flat-RSS and resident-chunk residency gates), and the search probe
+# (the successive-halving schedule over a 512-candidate closed-form
+# surface), each compared against
 # BENCH_engine.json with a 30% regression tolerance.  The chaos,
 # failover, hybrid, and halving smokes then run one registered chaos
 # scenario, a single-replicate failover-recovery study, a registered

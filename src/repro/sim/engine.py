@@ -7,6 +7,10 @@ events.  Processes are plain Python generators that ``yield`` events (or
 a ``float`` delay, a plain sleep); the :class:`Process` wrapper resumes
 the generator whenever the yielded event triggers.
 
+The heap is the only calendar: live entries track concurrency, not
+trace length (a full w-10m serverless cell peaks near 1.2k entries), so
+an O(log n) push never outgrows it.
+
 The engine is intentionally small but complete enough to model serving
 platforms: timeouts, triggerable events, process interruption, and
 first-of-two races (:class:`Race`, the guard-timer pattern every
@@ -78,32 +82,13 @@ workload stays O(live) in memory.  Cancellation semantics:
 * A cancelled event never wins a :class:`Race` (its ``ok`` is
   ``None``), and yielding a cancelled event from a process is a
   :class:`SimulationError`.
-
-Calendar-bucket queue
----------------------
-A single binary heap costs O(log n) per push/pop, which starts to matter
-when millions of entries are live at once.  When the heap grows past
-``bucket_threshold`` entries the environment migrates — once, in place —
-to a :class:`BucketCalendar`: entries are spread across fixed-width time
-buckets (future buckets are plain append lists, O(1) push), and only the
-bucket currently being drained is heapified.  Entries are full
-``(time, priority, sequence, ...)`` tuples in both structures and the
-bucket boundaries respect time order, so the pop sequence — and
-therefore every golden hash — is **bit-identical** to the heap's.  The
-default threshold is far above what any registered workload keeps live
-(the streaming runs pop entries as fast as they push them), so the heap
-remains the everyday fast path; the threshold can be forced low via the
-``REPRO_BUCKET_THRESHOLD`` environment variable or the
-``Environment(bucket_threshold=...)`` argument (the bit-identity tests
-do exactly that).
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "SimulationError",
@@ -112,7 +97,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Race",
-    "BucketCalendar",
     "Environment",
 ]
 
@@ -124,16 +108,6 @@ URGENT = 0
 
 #: Tombstone compaction threshold: never rebuild below this many.
 _MIN_TOMBSTONES = 64
-
-#: Live-entry count at which the environment migrates from the binary
-#: heap to the bucket calendar (override: REPRO_BUCKET_THRESHOLD).
-_BUCKET_THRESHOLD = int(os.environ.get("REPRO_BUCKET_THRESHOLD", "500000"))
-
-#: Target mean entries per bucket when the migration picks a width.
-_BUCKET_FAN = 32.0
-
-#: Floor on the bucket width (guards a zero-span calendar).
-_MIN_BUCKET_WIDTH = 1e-6
 
 
 class SimulationError(RuntimeError):
@@ -197,8 +171,8 @@ class Event:
         return self._value
 
     # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully after ``delay`` time units."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully at the current time."""
         if self._triggered:
             raise SimulationError("event has already been triggered")
         if self._cancelled:
@@ -207,18 +181,11 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        entry = (env._now + delay, NORMAL, next(env._sequence), self)
-        if env._calendar is None:
-            queue = env._queue
-            heappush(queue, entry)
-            if len(queue) >= env._bucket_threshold:
-                env._migrate_to_buckets()
-        else:
-            env._calendar.push(entry)
+        heappush(env._queue, (env._now, NORMAL, next(env._sequence), self))
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event with an exception."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event with an exception at the current time."""
         if self._triggered:
             raise SimulationError("event has already been triggered")
         if self._cancelled:
@@ -228,7 +195,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay)
+        self.env._schedule(self)
         return self
 
     def cancel(self) -> bool:
@@ -247,10 +214,8 @@ class Event:
         if self._triggered:
             env = self.env
             env._tombstones += 1
-            calendar = env._calendar
-            live = len(env._queue) if calendar is None else calendar.size
             if (env._tombstones > _MIN_TOMBSTONES
-                    and env._tombstones * 2 > live):
+                    and env._tombstones * 2 > len(env._queue)):
                 env._compact()
         return True
 
@@ -293,14 +258,8 @@ class Timeout(Event):
         self._defused = False
         self._cancelled = False
         self.delay = delay
-        entry = (env._now + delay, NORMAL, next(env._sequence), self)
-        if env._calendar is None:
-            queue = env._queue
-            heappush(queue, entry)
-            if len(queue) >= env._bucket_threshold:
-                env._migrate_to_buckets()
-        else:
-            env._calendar.push(entry)
+        heappush(env._queue,
+                 (env._now + delay, NORMAL, next(env._sequence), self))
 
 
 class Process(Event):
@@ -388,15 +347,8 @@ class Process(Event):
             # where env.timeout() would have.
             if not result >= 0:
                 raise SimulationError(f"invalid sleep delay: {result!r}")
-            entry = (env._now + result, NORMAL, next(env._sequence), self,
-                     True, None)
-            if env._calendar is None:
-                queue = env._queue
-                heappush(queue, entry)
-                if len(queue) >= env._bucket_threshold:
-                    env._migrate_to_buckets()
-            else:
-                env._calendar.push(entry)
+            heappush(env._queue, (env._now + result, NORMAL,
+                                  next(env._sequence), self, True, None))
             return
         if not isinstance(result, Event):
             raise SimulationError(
@@ -479,108 +431,14 @@ class Race(Event):
                 callback(self)
 
 
-class BucketCalendar:
-    """A calendar queue: fixed-width time buckets behind the heap's contract.
-
-    Entries are the same ``(time, priority, sequence, ...)`` tuples the
-    heap holds.  The bucket of an entry is ``int(time / width)``; pushes
-    into the bucket currently being drained (or any earlier time — which
-    can only happen for zero-delay entries at the clock) go into that
-    bucket's heap, pushes into future buckets are O(1) list appends.  A
-    future bucket is heapified once, when the drain cursor reaches it.
-    Because buckets partition time and ties resolve through the same
-    tuple comparison the heap used, the pop order is bit-identical to a
-    single heap over the same pushes.
-    """
-
-    __slots__ = ("width", "size", "_current", "_current_key", "_buckets",
-                 "_future_keys")
-
-    def __init__(self, width: float, start_key: int):
-        if width <= 0:
-            raise SimulationError(f"bucket width must be positive: {width!r}")
-        self.width = width
-        self.size = 0
-        self._current: List[tuple] = []
-        self._current_key = start_key
-        self._buckets: dict[int, List[tuple]] = {}
-        self._future_keys: List[int] = []
-
-    def __len__(self) -> int:
-        return self.size
-
-    def push(self, entry: tuple) -> None:
-        """Insert one calendar entry (time is ``entry[0]``)."""
-        key = int(entry[0] / self.width)
-        if key <= self._current_key:
-            heappush(self._current, entry)
-        else:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [entry]
-                heappush(self._future_keys, key)
-            else:
-                bucket.append(entry)
-        self.size += 1
-
-    def _advance(self) -> List[tuple]:
-        """The current bucket, cursor moved forward until it is non-empty.
-
-        Caller must ensure ``size`` > 0 (some bucket holds an entry).
-        """
-        current = self._current
-        while not current:
-            key = heappop(self._future_keys)
-            current = self._buckets.pop(key)
-            heapify(current)
-            self._current = current
-            self._current_key = key
-        return current
-
-    def min_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty."""
-        if not self.size:
-            return float("inf")
-        return self._advance()[0][0]
-
-    def pop(self) -> tuple:
-        """Remove and return the earliest entry (``size`` must be > 0)."""
-        current = self._advance()
-        self.size -= 1
-        return heappop(current)
-
-    def compact(self) -> int:
-        """Drop tombstoned entries from every bucket; returns live count.
-
-        Empty buckets keep their (already-queued) key — the drain cursor
-        skips them — so the future-key heap never needs surgery.
-        """
-        def live(entries: List[tuple]) -> List[tuple]:
-            return [entry for entry in entries
-                    if len(entry) == 6 or not entry[3]._cancelled]
-
-        current = live(self._current)
-        heapify(current)
-        self._current = current
-        size = len(current)
-        for key, bucket in self._buckets.items():
-            kept = live(bucket)
-            self._buckets[key] = kept
-            size += len(kept)
-        self.size = size
-        return size
-
-
 class Environment:
     """The simulation environment: clock, calendar, and process factory."""
 
     __slots__ = ("_now", "_queue", "_sequence", "_active_process",
-                 "_tombstones", "events_processed", "_calendar",
-                 "_bucket_threshold")
+                 "_tombstones", "events_processed")
 
-    def __init__(self, initial_time: float = 0.0,
-                 bucket_threshold: Optional[int] = None):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []
         self._sequence = count()
         self._active_process: Optional[Process] = None
@@ -588,11 +446,6 @@ class Environment:
         self._tombstones = 0
         #: Number of calendar entries executed (tombstones excluded).
         self.events_processed = 0
-        #: Bucket calendar, installed once the heap outgrows the
-        #: threshold (None = everyday binary-heap mode).
-        self._calendar: Optional[BucketCalendar] = None
-        self._bucket_threshold = (_BUCKET_THRESHOLD if bucket_threshold is None
-                                  else int(bucket_threshold))
 
     # -- clock ------------------------------------------------------------
     @property
@@ -623,63 +476,25 @@ class Environment:
         return Race(self, a, b)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = NORMAL) -> None:
-        entry = (self._now + delay, priority, next(self._sequence), event)
-        if self._calendar is None:
-            queue = self._queue
-            heappush(queue, entry)
-            if len(queue) >= self._bucket_threshold:
-                self._migrate_to_buckets()
-        else:
-            self._calendar.push(entry)
+    def _schedule(self, event: Event, priority: int = NORMAL) -> None:
+        heappush(self._queue,
+                 (self._now, priority, next(self._sequence), event))
 
     def _schedule_resume(self, process: Process, ok: bool, value: Any) -> None:
         """Fast path: resume ``process`` at the current time, no Event."""
-        entry = (self._now, URGENT, next(self._sequence), process, ok, value)
-        if self._calendar is None:
-            queue = self._queue
-            heappush(queue, entry)
-            if len(queue) >= self._bucket_threshold:
-                self._migrate_to_buckets()
-        else:
-            self._calendar.push(entry)
-
-    def _migrate_to_buckets(self) -> None:
-        """One-way migration of the live heap into a bucket calendar.
-
-        The width targets ``_BUCKET_FAN`` entries per bucket over the
-        span of the entries currently live; ``run()``'s heap loop sees
-        the emptied queue and falls through to the bucket loop.
-        """
-        queue = self._queue
-        if not queue:
-            return
-        low = self._now
-        high = max(entry[0] for entry in queue)
-        width = max((high - low) * _BUCKET_FAN / len(queue),
-                    _MIN_BUCKET_WIDTH)
-        calendar = BucketCalendar(width, int(low / width))
-        push = calendar.push
-        for entry in queue:
-            push(entry)
-        queue.clear()
-        self._calendar = calendar
+        heappush(self._queue,
+                 (self._now, URGENT, next(self._sequence), process, ok, value))
 
     def _compact(self) -> None:
-        """Rebuild the calendar without tombstones (keeps memory O(live)).
+        """Rebuild the heap without tombstones (keeps memory O(live)).
 
-        Heap mode rebuilds in place, because ``run()`` holds a local
-        reference to the list; bucket mode compacts bucket by bucket.
+        Rebuilds in place, because ``run()`` holds a local reference to
+        the list.
         """
-        calendar = self._calendar
-        if calendar is not None:
-            calendar.compact()
-        else:
-            queue = self._queue
-            queue[:] = [entry for entry in queue
-                        if len(entry) == 6 or not entry[3]._cancelled]
-            heapify(queue)
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if len(entry) == 6 or not entry[3]._cancelled]
+        heapify(queue)
         self._tombstones = 0
 
     def peek(self) -> float:
@@ -692,30 +507,13 @@ class Environment:
                 self._tombstones -= 1
                 continue
             return entry[0]
-        calendar = self._calendar
-        if calendar is not None:
-            while calendar.size:
-                current = calendar._advance()
-                entry = current[0]
-                if len(entry) == 4 and entry[3]._cancelled:
-                    heappop(current)
-                    calendar.size -= 1
-                    self._tombstones -= 1
-                    continue
-                return entry[0]
         return float("inf")
 
     def step(self) -> None:
         """Process exactly one event from the calendar (skipping tombstones)."""
-        while True:
-            queue = self._queue
-            if queue:
-                entry = heappop(queue)
-            else:
-                calendar = self._calendar
-                if calendar is None or not calendar.size:
-                    raise SimulationError("no more events to process")
-                entry = calendar.pop()
+        queue = self._queue
+        while queue:
+            entry = heappop(queue)
             if len(entry) == 6:
                 self._now = entry[0]
                 self.events_processed += 1
@@ -733,6 +531,7 @@ class Environment:
                 # dropping it.
                 raise event._value
             return
+        raise SimulationError("no more events to process")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar is exhausted or ``until`` is reached."""
@@ -741,68 +540,34 @@ class Environment:
                 f"until ({until!r}) must be a time >= now ({self._now!r})")
         # Inlined step() loop: popping, tombstone skipping, and callback
         # dispatch in one frame is worth ~25% wall-clock on full runs.
-        # Two inlined loops, actually: the heap loop and the bucket loop.
-        # A migration mid-run empties the heap in place, so the heap loop
-        # falls through and the outer loop enters the bucket loop (the
-        # migration is one-way — the outer loop runs at most twice).
         limit = float("inf") if until is None else until
+        queue = self._queue
         pop = heappop
         processed = 0
         try:
-            while True:
-                queue = self._queue
-                while queue:
-                    if queue[0][0] > limit:
-                        self._now = until
-                        return
-                    entry = pop(queue)
-                    if len(entry) == 6:
-                        self._now = entry[0]
-                        processed += 1
-                        entry[3]._step(entry[4], entry[5])
-                        continue
-                    event = entry[3]
-                    if event._cancelled:
-                        self._tombstones -= 1
-                        continue
+            while queue:
+                if queue[0][0] > limit:
+                    self._now = until
+                    return
+                entry = pop(queue)
+                if len(entry) == 6:
                     self._now = entry[0]
                     processed += 1
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                calendar = self._calendar
-                if calendar is None or not calendar.size:
-                    break
-                advance = calendar._advance
-                while calendar.size:
-                    current = advance()
-                    if current[0][0] > limit:
-                        self._now = until
-                        return
-                    entry = pop(current)
-                    calendar.size -= 1
-                    if len(entry) == 6:
-                        self._now = entry[0]
-                        processed += 1
-                        entry[3]._step(entry[4], entry[5])
-                        continue
-                    event = entry[3]
-                    if event._cancelled:
-                        self._tombstones -= 1
-                        continue
-                    self._now = entry[0]
-                    processed += 1
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
+                    entry[3]._step(entry[4], entry[5])
+                    continue
+                event = entry[3]
+                if event._cancelled:
+                    self._tombstones -= 1
+                    continue
+                self._now = entry[0]
+                processed += 1
+                callbacks = event.callbacks
+                if callbacks is not None:
+                    event.callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                if event._ok is False and not event._defused:
+                    raise event._value
             if until is not None:
                 self._now = until
         finally:

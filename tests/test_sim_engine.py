@@ -11,6 +11,10 @@ class TestClockAndTimeouts:
     def test_time_starts_at_zero(self, env):
         assert env.now == 0.0
 
+    def test_clock_cannot_start_elsewhere(self):
+        with pytest.raises(TypeError):
+            Environment(initial_time=float("nan"))
+
     def test_timeout_advances_clock(self, env):
         log = []
 
@@ -129,6 +133,27 @@ class TestEvents:
         event = env.event()
         with pytest.raises(SimulationError):
             _ = event.value
+
+    @pytest.mark.parametrize("trigger", ["succeed", "fail"])
+    def test_trigger_fires_now_never_in_the_past(self, env, trigger):
+        event = env.event()
+        payload = "x" if trigger == "succeed" else RuntimeError("x")
+        log = []
+
+        def proc():
+            yield 5.0
+            with pytest.raises(TypeError):
+                getattr(event, trigger)(payload, delay=-3.0)
+            assert not event.triggered
+            try:
+                value = yield getattr(event, trigger)(payload)
+            except RuntimeError as error:
+                value = error
+            log.append((env.now, value))
+
+        env.process(proc())
+        env.run()
+        assert log == [(5.0, payload)]
 
     def test_fail_requires_exception(self, env):
         event = env.event()
@@ -344,23 +369,6 @@ class TestPlainSleeps:
         env.process(starts[first]())
         env.run()
         assert order == [first, second, first]
-
-    def test_sleep_in_bucket_calendar(self):
-        def run(threshold):
-            env = Environment(bucket_threshold=threshold)
-            order = []
-
-            def proc(name, delays):
-                for delay in delays:
-                    yield delay
-                    order.append((env.now, name))
-
-            for name in range(20):
-                env.process(proc(name, [0.5 * (name % 3), 1.0, 0.25]))
-            env.run()
-            return order, env.events_processed
-
-        assert run(4) == run(None)
 
     def test_interrupt_during_sleep_matches_timeout(self):
         """Interrupt delivery and the stale entry behave as a Timeout's."""

@@ -10,9 +10,9 @@ Four guarantees of the streaming engine are pinned here:
   (``OutcomeSummary`` folds, no full table) reproduces every standard
   reduction: counts, ratios, and timelines exactly; sketch quantiles and
   SLO attainment within one sketch bin.
-* **Calendar-queue bit-identity** — forcing the heap-to-bucket migration
-  at tiny thresholds changes neither the outcome columns nor the event
-  count of a cell.
+* **Flat calendar** — the engine's heap peaks at the same few thousand
+  live entries however long the streamed trace, so one binary heap is
+  the only calendar the engine needs.
 * **Shared-memory transport** — ``pack_arrays``/``unpack_arrays`` round
   payloads through a shm segment bit-identically, and a worker pool
   forced onto the segment path matches serial hashes.
@@ -347,34 +347,6 @@ class TestLatencySketch:
         assert sketch.quantile(100.0) == 0.5
 
 
-class TestBucketCalendar:
-    def test_pop_order_matches_heap(self):
-        import heapq
-        rng = np.random.default_rng(11)
-        times = rng.uniform(0.0, 100.0, 5_000)
-        entries = [(float(t), 1, seq, None, True, None)
-                   for seq, t in enumerate(times)]
-        heap = list(entries)
-        heapq.heapify(heap)
-        calendar = engine.BucketCalendar(width=0.64, start_key=0)
-        for entry in entries:
-            calendar.push(entry)
-        order = [calendar.pop() for _ in range(len(entries))]
-        assert order == [heapq.heappop(heap) for _ in range(len(entries))]
-        assert calendar.size == 0
-
-    def test_forced_migration_is_bit_identical(self, monkeypatch,
-                                               reference_result, tiny_w40):
-        result, deployment = reference_result
-        for threshold in (16, 128):
-            monkeypatch.setattr(engine, "_BUCKET_THRESHOLD", threshold)
-            bucketed = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
-            assert (bucketed.table.column_hash()
-                    == result.table.column_hash())
-            assert (bucketed.metadata["events_processed"]
-                    == result.metadata["events_processed"])
-
-
 class TestShmTransport:
     def test_round_trip_is_bit_identical(self, reference_result):
         result, deployment = reference_result
@@ -454,6 +426,31 @@ class TestStreamedWorkload:
         assert result.streaming
         assert result.total_requests == 10_000
         assert result.success_ratio > 0.5
+
+    def test_live_calendar_entries_flat_in_trace_length(self, monkeypatch):
+        from repro.core.planner import Planner
+        peak = [0]
+        heappush = engine.heappush
+
+        def counting_heappush(queue, entry):
+            heappush(queue, entry)
+            if len(queue) > peak[0]:
+                peak[0] = len(queue)
+
+        monkeypatch.setattr(engine, "heappush", counting_heappush)
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless")
+        peaks = {}
+        for scale in (0.006, 0.02):
+            peak[0] = 0
+            workload = standard_workload("w-1m", seed=SEED, scale=scale)
+            result = ServingBenchmark(seed=SEED).run(
+                deployment, workload, workload_scale=scale)
+            assert result.streaming
+            peaks[scale] = peak[0]
+        # Same rates, 3.3x the requests.  Tombstones count: leaving each
+        # request's 300 s deadline timer uncancelled grows the peak ~3x.
+        assert peaks[0.02] <= 1.25 * peaks[0.006]
 
 
 class TestExactCapacity:
