@@ -23,7 +23,12 @@
 # hybrid spill scenario, and a budgeted navigator-halving search end
 # to end through the CLI sweep path, and the flat-RSS smoke (scripts/rss_smoke.py) runs the
 # streamed w-1m workload at two request scales and asserts peak RSS
-# stays flat in the trace length.  Regenerate the baseline with
+# stays flat in the trace length.  The perfbench digest smoke runs
+# `perfbench/run.py --seed 7 --seconds 1` on each of the three
+# benchmark workloads and fails unless the result line (the last line
+# of its output; run.py exits 0 either way) reports "correct": true,
+# i.e. every cell's outcome digest matches perfbench/expected.json.
+# Regenerate the baseline with
 # `python benchmarks/bench_engine_throughput.py` on the machine that
 # runs the gate.
 #
@@ -63,6 +68,15 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "== flat-RSS smoke (streamed w-1m at two scales) =="
     python scripts/rss_smoke.py
+
+    echo "== perfbench digest smoke (seed 7, every workload) =="
+    for workload in trace-w1m fig05-grid resilience-library; do
+        result=$(python perfbench/run.py --workload "$workload" --seed 7 \
+                     --seconds 1 | tail -n 1)
+        python -c 'import json, sys
+sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "$result" \
+            || { echo "perfbench $workload is not correct: $result"; exit 1; }
+    done
 fi
 
 if [[ "${1:-}" == "--docs" ]]; then

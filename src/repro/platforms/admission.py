@@ -6,7 +6,7 @@ Two queueing models cover every platform the paper evaluates:
   requests are buffered as :class:`PendingRequest` tickets; idle
   instances pull work, the scaler pins queued tickets to fresh
   instances, and the client waits on the ticket's response event under
-  a deadline guard.
+  a deadline guard (a :class:`~repro.sim.engine.GuardQueue` entry).
 * :class:`SlotQueue` — the *slot* model of a server frontend (VM or
   managed endpoint): a capacity-limited connection backlog in front of
   a worker pool.  Requests beyond the backlog are rejected on the spot
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Union
 
 from repro.serving.records import RequestOutcome
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, GuardQueue, Resource, Store
 from repro.sim.engine import Event
 
 __all__ = ["PendingRequest", "WorkQueue", "SlotQueue"]
@@ -77,21 +77,6 @@ class WorkQueue:
         self.store.add(pending)
         return pending
 
-    def await_response(self, pending: PendingRequest, deadline_s: float):
-        """Wait for the ticket's response under a deadline guard.
-
-        A generator (``yield from`` it): returns ``True`` if the
-        response arrived in time — cancelling the dead guard timer —
-        and ``False`` if the deadline fired first.
-        """
-        response_event = pending.response_event
-        deadline = self.env.timeout(deadline_s)
-        winner = yield self.env.race(response_event, deadline)
-        if winner is not response_event:
-            return False
-        deadline.cancel()
-        return True
-
     # -- serve side --------------------------------------------------------
     def take(self) -> Optional[PendingRequest]:
         """Pop the oldest buffered ticket, or ``None`` (scaler pinning)."""
@@ -133,15 +118,15 @@ class SlotQueue:
     capacity).
     """
 
-    __slots__ = ("env", "workers", "deadline_s", "_capacity",
-                 "rejected", "timed_out")
+    __slots__ = ("env", "workers", "_guards", "_capacity", "rejected",
+                 "timed_out")
 
     def __init__(self, env: Environment,
                  capacity: Union[int, Callable[[], float]],
                  deadline_s: float):
         self.env = env
         self.workers = Resource(env, capacity=1)
-        self.deadline_s = deadline_s
+        self._guards = GuardQueue(env, deadline_s)
         self._capacity = capacity
         self.rejected = 0
         self.timed_out = 0
@@ -179,18 +164,16 @@ class SlotQueue:
         """Wait for a worker slot under the server-side deadline.
 
         A generator (``yield from`` it): returns the granted claim —
-        release it with :meth:`release` — or ``None`` on timeout.  The
-        losing guard timer is cancelled so it does not rot in the
-        calendar.
+        release it with :meth:`release` — or ``None`` on timeout.
         """
         claim = self.workers.request()
-        deadline = self.env.timeout(self.deadline_s)
-        yield self.env.race(claim, deadline)
+        guard = self._guards.arm(claim)
+        yield claim
         if not claim.triggered:
             self.workers.cancel(claim)
             self.timed_out += 1
             return None
-        deadline.cancel()
+        self._guards.cancel(guard)
         return claim
 
     def release(self, claim) -> None:

@@ -42,7 +42,7 @@ from repro.platforms.billing import ServerlessMeter
 from repro.platforms.policies import ConcurrencyScalingPolicy
 from repro.platforms.pool import InstancePool, InstanceState, PoolInstance
 from repro.serving.records import RequestOutcome, Stage
-from repro.sim import Interrupt
+from repro.sim import EXPIRED, GuardQueue, Interrupt
 
 __all__ = ["ServerlessPlatform"]
 
@@ -112,9 +112,10 @@ class ServerlessPlatform(ServingPlatform):
         # One falsy check per request on the no-fault path, not two.
         self._admission_faults = bool(self._error_rate
                                       or self._shed_watermark)
-        self._deadline_s = min(
+        self._deadlines = GuardQueue(env, min(
             _FUNCTION_TIMEOUT_S,
-            self.config.request_timeout_s or _FUNCTION_TIMEOUT_S)
+            self.config.request_timeout_s or _FUNCTION_TIMEOUT_S))
+        self._keep_alives = GuardQueue(env, traits.keep_alive_s)
         # Per-run constants, hoisted off the per-request path: the profile
         # lookups are pure functions of the (fixed) deployment, and the
         # method chains cost more than the arithmetic they guard.
@@ -183,18 +184,13 @@ class ServerlessPlatform(ServingPlatform):
                 return outcome
         pending = self.queue.enqueue(outcome)
         self._scale_out()
-        # The deadline guard is WorkQueue.await_response, inlined: one
-        # sub-generator per request costs ~2% end-to-end throughput.
         response_event = pending.response_event
-        deadline = self.env.timeout(self._deadline_s)
-        winner = yield self.env.race(response_event, deadline)
-        if winner is not response_event:
+        guard = self._deadlines.arm(response_event)
+        if (yield response_event) is EXPIRED:
             outcome.finish(self.env.now, success=False, error="timeout")
             self.meter.record_timed_out()
             return outcome
-        # The response won the race: withdraw the 300 s guard timer so it
-        # does not rot in the calendar until the platform kill deadline.
-        deadline.cancel()
+        self._deadlines.cancel(guard)
         yield self._network_leg(outcome, response_mb)
         outcome.finish(self.env.now, success=True)
         self.meter.record_completed()
@@ -307,7 +303,7 @@ class ServerlessPlatform(ServingPlatform):
                        first_request: Optional[PendingRequest] = None):
         # Fault injection interrupts this loop to kill the instance; each
         # yield region has a handler that re-queues any in-flight ticket
-        # and withdraws its pending calendar entries before the loop
+        # and withdraws its pending get and guard before the loop
         # exits (a stale service timer resuming a finished generator is
         # a harmless no-op, but cancelled gets must leave the store).
         try:
@@ -322,16 +318,19 @@ class ServerlessPlatform(ServingPlatform):
         except Interrupt:
             self._crash(instance, first_request)
             return
+        keep_alives = self._keep_alives
         while instance.alive:
             get_event = self.queue.get()
-            keep_alive = self.env.timeout(self._traits.keep_alive_s)
+            guard = keep_alives.arm(get_event)
             try:
-                yield self.env.race(get_event, keep_alive)
+                yield get_event
             except Interrupt:
+                keep_alives.cancel(guard)
                 if not get_event.triggered:
                     self.queue.cancel_get(get_event)
-                keep_alive.cancel()
-                self._crash(instance, None)
+                # A ticket handed over in the kill's instant is in flight.
+                self._crash(instance, get_event.value
+                            if get_event.triggered else None)
                 return
             if not get_event.triggered:
                 self.queue.cancel_get(get_event)
@@ -341,9 +340,7 @@ class ServerlessPlatform(ServingPlatform):
                 self._live.pop(instance.instance_id, None)
                 self.pool.retire(instance)
                 return
-            # A request arrived: withdraw the keep-alive timer that lost
-            # the race so it does not sit dead in the calendar.
-            keep_alive.cancel()
+            keep_alives.cancel(guard)
             try:
                 yield from self._serve(instance, get_event.value)
             except Interrupt:

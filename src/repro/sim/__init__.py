@@ -7,6 +7,9 @@ spirit of SimPy:
 * :class:`~repro.sim.engine.Environment` — the event loop and clock.
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` /
   :class:`~repro.sim.engine.Process` — the things a process can ``yield``.
+* :class:`~repro.sim.engine.GuardQueue` — fixed-delay guard timers
+  (request deadlines, keep-alives) that resume a process with
+  :data:`~repro.sim.engine.EXPIRED`.
 * :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.Store` — capacity-limited resources and
   FIFO object stores used to model servers and queues.
@@ -21,8 +24,10 @@ makes the paper's experiments reproducible in CI.
 """
 
 from repro.sim.engine import (
+    EXPIRED,
     Environment,
     Event,
+    GuardQueue,
     Interrupt,
     Process,
     SimulationError,
@@ -34,9 +39,11 @@ from repro.sim.resources import Request, Resource, Store
 
 __all__ = [
     "CounterMonitor",
+    "EXPIRED",
     "Environment",
     "Event",
     "GaugeMonitor",
+    "GuardQueue",
     "Interrupt",
     "Process",
     "RandomStreams",

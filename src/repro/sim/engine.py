@@ -12,9 +12,10 @@ trace length (a full w-10m serverless cell peaks near 1.2k entries), so
 an O(log n) push never outgrows it.
 
 The engine is intentionally small but complete enough to model serving
-platforms: timeouts, triggerable events, process interruption, and
-first-of-two races (:class:`Race`, the guard-timer pattern every
-request uses).
+platforms: timeouts, triggerable events, process interruption,
+first-of-two races (:class:`Race`) and fixed-delay guard timers
+(:class:`GuardQueue`, the deadline and keep-alive every request runs
+under).
 
 Performance notes
 -----------------
@@ -59,21 +60,37 @@ speed:
   ``env.process()`` call site rather than later inside
   :meth:`Environment.run`.
 
-* Scheduled entries are cancellable via lazy-deletion tombstones (see
-  below), so platforms can withdraw the overwhelmingly-dead guard
-  timers (request timeouts, keep-alives) that otherwise rot in the heap
-  for hundreds of simulated seconds.
+Guard queues
+------------
+Request deadlines and keep-alives are :class:`GuardQueue` entries, not
+``Timeout`` + ``Race`` pairs.  Every guard at one site shares one delay
+and is armed at a non-decreasing ``now``, so deadline order is arm order
+and the earliest live guard is the head of a FIFO.
+:meth:`GuardQueue.arm` draws its sequence number where ``env.timeout()``
+would have and appends ``[deadline, seq, process, event]``; the queue
+keeps at most one raw calendar entry, the *tick*, keyed
+``(deadline, NORMAL, seq)`` of the head it was pushed for.  When the
+tick pops and that head is still queued, it fires: the process's
+resume callback leaves the event and the process resumes with
+:data:`EXPIRED`.  Either way the tick re-arms at the new head's own
+key, never earlier than the pop, so pops happen exactly where the
+``Timeout`` entries would have.  :meth:`GuardQueue.cancel` only marks
+the guard dead and drops dead heads; a tick whose head was cancelled is
+*stale*, resumes nothing and is counted in ``events_processed`` (about
+one per delay window).
 
 Tombstone cancellation
 ----------------------
-A binary heap cannot remove an arbitrary entry cheaply, so
-:meth:`Event.cancel` does not touch the heap at all: it marks the event
-cancelled, drops its callbacks, and leaves the entry in place as a
-*tombstone*.  When the scheduler later pops a tombstone it skips it
-without running callbacks or advancing ``events_processed``.  The
-environment counts outstanding tombstones and rebuilds the heap once
-they outnumber the live entries, so a pathological cancel-heavy
-workload stays O(live) in memory.  Cancellation semantics:
+Timers whose delay varies per request (hedge timers) or that carry
+callbacks (fault timers) are ``Timeout`` events, cancellable via
+lazy-deletion tombstones.  A binary heap cannot remove an arbitrary
+entry cheaply, so :meth:`Event.cancel` does not touch the heap at all:
+it marks the event cancelled, drops its callbacks, and leaves the entry
+in place as a *tombstone*.  When the scheduler later pops a tombstone it
+skips it without running callbacks or advancing ``events_processed``.
+The environment counts outstanding tombstones and rebuilds the heap once
+they outnumber the live entries, so a pathological cancel-heavy workload
+stays O(live) in memory.  Cancellation semantics:
 
 * ``cancel()`` on a pending entry returns ``True``; the callbacks never
   run, ``ok`` becomes ``None``, and ``cancelled`` is ``True``.
@@ -86,6 +103,7 @@ workload stays O(live) in memory.  Cancellation semantics:
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Optional
@@ -97,6 +115,8 @@ __all__ = [
     "Timeout",
     "Process",
     "Race",
+    "GuardQueue",
+    "EXPIRED",
     "Environment",
 ]
 
@@ -238,11 +258,12 @@ class Timeout(Event):
     """An event that triggers after a fixed delay.
 
     A process that only waits yields a ``float`` delay instead (a plain
-    sleep).  A ``Timeout`` is for waits that must be events: raced
-    (deadlines, keep-alives, hedge timers), cancelled, carrying a value
-    or given callbacks (fault timers).  Guard timers that usually lose
-    their race should be :meth:`~Event.cancel`-ed by the winner so the
-    calendar does not fill up with dead entries.
+    sleep), and a guard whose delay is fixed per site is a
+    :class:`GuardQueue` entry.  A ``Timeout`` is for waits that must be
+    events: raced with a per-request delay (hedge timers), cancelled,
+    carrying a value or given callbacks (fault timers).  A timer that
+    usually loses its race should be :meth:`~Event.cancel`-ed by the
+    winner so the calendar does not fill up with dead entries.
     """
 
     __slots__ = ("delay",)
@@ -364,10 +385,8 @@ class Process(Event):
 
 
 class Race(Event):
-    """First of two events: the guard-timer race.
+    """First of two events (a hedge timer against the primary attempt).
 
-    Every simulated request runs two of these (response vs request
-    deadline on the client, queue-get vs keep-alive on the instance).
     ``Race`` triggers with the **winning event** as its value; a failed
     member fails the race (and is defused), and a cancelled member never
     wins.
@@ -429,6 +448,78 @@ class Race(Event):
         if callbacks:
             for callback in callbacks:
                 callback(self)
+
+
+class _Expired:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "EXPIRED"
+
+
+#: What a guarded process resumes with when its guard fires first.
+EXPIRED = _Expired()
+
+
+class GuardQueue:
+    """Guard timers of one owner that all share one fixed ``delay``.
+
+    The active process arms the event it is about to yield; if the event
+    is not processed ``delay`` seconds later, the process resumes with
+    :data:`EXPIRED`.  The winner (or an interrupt handler) must cancel
+    the guard: one firing over a processed event is an error.
+    """
+
+    __slots__ = ("env", "delay", "_guards", "_armed")
+
+    def __init__(self, env: "Environment", delay: float):
+        if not delay >= 0:
+            raise SimulationError(f"invalid guard delay: {delay!r}")
+        self.env = env
+        self.delay = delay
+        self._guards: deque = deque()
+        self._armed = False
+
+    def arm(self, event: Event) -> list:
+        """Guard ``event`` for the active process; returns the guard."""
+        env = self.env
+        process = env._active_process
+        if process is None:
+            raise SimulationError("arm() must be called from a process")
+        seq = next(env._sequence)
+        guard = [env._now + self.delay, seq, process, event]
+        self._guards.append(guard)
+        if not self._armed:
+            self._armed = True
+            heappush(env._queue, (guard[0], NORMAL, seq, self, True, seq))
+        return guard
+
+    def cancel(self, guard: list) -> None:
+        """Withdraw ``guard`` (a no-op once it has fired)."""
+        guard[2] = None
+        guards = self._guards
+        while guards and guards[0][2] is None:
+            guards.popleft()
+
+    def _step(self, ok: bool, seq: int) -> None:
+        """The tick: fire the head it was pushed for, then re-arm."""
+        guards = self._guards
+        fired = guards.popleft() if guards and guards[0][1] == seq else None
+        while guards and guards[0][2] is None:
+            guards.popleft()
+        if guards:
+            head = guards[0]
+            heappush(self.env._queue,
+                     (head[0], NORMAL, head[1], self, True, head[1]))
+        else:
+            self._armed = False
+        if fired is not None:
+            process, event = fired[2], fired[3]
+            if event.callbacks is None:
+                raise SimulationError(
+                    "guard outlived its processed event (uncancelled)")
+            event.callbacks.remove(process._resume)
+            process._step(True, EXPIRED)
 
 
 class Environment:

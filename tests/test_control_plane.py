@@ -32,6 +32,7 @@ from repro.platforms.policies import (
 )
 from repro.platforms.pool import InstancePool, InstanceState
 from repro.serving.records import RequestOutcome
+from repro.sim import EXPIRED, GuardQueue
 from repro.workload.generator import standard_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -314,37 +315,43 @@ class TestWorkQueue:
         assert reused is ticket
         assert reused.outcome.request_id == 2
 
-    def test_await_response_served_in_time(self, env):
-        queue = WorkQueue(env)
-        served = []
+    @staticmethod
+    def _guarded_client(env, queue, deadline_s, served):
+        """A client waiting on its ticket under a fixed-delay guard."""
+        guards = GuardQueue(env, deadline_s)
 
         def client():
             ticket = queue.enqueue(_outcome())
-            result = yield from queue.await_response(ticket, deadline_s=10.0)
-            served.append((result, env.now))
+            guard = guards.arm(ticket.response_event)
+            if (yield ticket.response_event) is EXPIRED:
+                served.append((False, env.now))
+                return
+            guards.cancel(guard)
+            served.append((True, env.now))
+            assert not guards._guards  # the dead guard left the queue
+
+        env.process(client())
+
+    def test_guarded_response_served_in_time(self, env):
+        queue = WorkQueue(env)
+        served = []
+        self._guarded_client(env, queue, 10.0, served)
 
         def worker():
             yield env.timeout(1.0)
             queue.take().response_event.succeed()
 
-        env.process(client())
         env.process(worker())
         env.run()
         assert served == [(True, 1.0)]
-        assert env.now < 10.0  # the dead deadline guard was cancelled
 
-    def test_await_response_deadline_fires(self, env):
+    def test_guarded_response_deadline_fires(self, env):
         queue = WorkQueue(env)
         served = []
-
-        def client():
-            ticket = queue.enqueue(_outcome())
-            result = yield from queue.await_response(ticket, deadline_s=2.0)
-            served.append((result, env.now))
-
-        env.process(client())
+        self._guarded_client(env, queue, 2.0, served)
         env.run()
         assert served == [(False, 2.0)]
+        assert queue.backlog == 1  # the unserved ticket stays queued
 
 
 class TestSlotQueue:

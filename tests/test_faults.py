@@ -248,6 +248,35 @@ class TestServerlessFaults:
             notes["completed"] + notes["failed"] + notes["rejected"]
             + notes["timed_out"] + notes["shed"])
 
+    def test_ticket_handed_to_an_instance_killed_that_instant_survives(self):
+        """A get triggered in the kill's instant carries in-flight work.
+
+        The ticket is already in the instance's get event when the
+        interrupt lands; it must go back to the work queue, not vanish
+        until the client's 300 s deadline.
+        """
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless", storm_times_s=(1e6,),
+                                    provisioned_concurrency=1)
+        env = Environment()
+        platform = build_platform(env, deployment, rng=RandomStreams(SEED))
+        platform.start()
+        responses = []
+
+        def strike():
+            yield 1.0
+            ticket = platform.queue.enqueue(
+                RequestOutcome(request_id=0, client_id=0, send_time=1.0))
+            responses.append(ticket.response_event)
+            (instance, _loop), = platform._live.values()
+            platform._kill_instance(instance)
+
+        env.process(strike())
+        env.run(until=400.0)
+        assert responses[0].triggered
+        assert platform.pool.killed == 1
+        assert platform.pool.created == 3
+
     def test_storms_force_extra_cold_starts(self, tiny_w40):
         planner = Planner()
         quiet = planner.plan("aws", "mobilenet", "tf1.15", "serverless")

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, engine
+from repro.sim import (EXPIRED, Environment, GuardQueue, Interrupt,
+                       SimulationError, engine)
 from repro.sim.engine import Race, Timeout
 
 
@@ -413,3 +416,178 @@ class TestPlainSleeps:
 
         with pytest.raises(SimulationError):
             env.process(bad())
+
+
+def _guarded_program(seed, use_guards, delay=2.0):
+    """Waiters guard events that a trigger succeeds at random times.
+
+    Every time is a multiple of 0.5, so triggers tie exactly with
+    deadlines and with other NORMAL entries.  ``use_guards`` picks a
+    :class:`GuardQueue` or the ``Timeout`` + ``Race`` + ``cancel``
+    pattern it replaces; both must give the same trajectory.
+    """
+    rnd = random.Random(seed)
+    env = Environment()
+    guards = GuardQueue(env, delay)
+    pending = []
+    log = []
+
+    def waiter(pid):
+        for _ in range(6):
+            yield 0.5 * rnd.randrange(4)
+            event = env.event()
+            pending.append(event)
+            if use_guards:
+                guard = guards.arm(event)
+                expired = (yield event) is EXPIRED
+                if not expired:
+                    guards.cancel(guard)
+            else:
+                deadline = env.timeout(delay)
+                expired = (yield env.race(event, deadline)) is not event
+                if not expired:
+                    deadline.cancel()
+            log.append((env.now, pid, expired, event.triggered))
+
+    def trigger():
+        for _ in range(30):
+            yield 0.5 * rnd.randrange(6)
+            live = [event for event in pending if not event.triggered]
+            if live:
+                rnd.choice(live).succeed()
+
+    for pid in range(12):
+        env.process(waiter(pid))
+    for _ in range(6):
+        env.process(trigger())
+    env.run()
+    return log, next(env._sequence)
+
+
+class TestGuardQueue:
+    SEEDS = range(6)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_timeout_race_cancel(self, seed):
+        guarded = _guarded_program(seed, use_guards=True)
+        assert guarded == _guarded_program(seed, use_guards=False)
+
+    def test_program_covers_every_outcome(self):
+        outcomes = {(expired, triggered)
+                    for seed in self.SEEDS
+                    for _now, _pid, expired, triggered
+                    in _guarded_program(seed, use_guards=True)[0]}
+        # Served, expired, and expired over a same-instant trigger.
+        assert outcomes == {(False, True), (True, False), (True, True)}
+
+    @staticmethod
+    def _waiter(env, guards, log, name, event, cancel=True):
+        def proc():
+            guard = guards.arm(event)
+            value = yield event
+            log.append((env.now, name, value is EXPIRED))
+            if value is not EXPIRED and cancel:
+                guards.cancel(guard)
+        return env.process(proc())
+
+    def test_cancel_non_head_guard(self, env):
+        guards = GuardQueue(env, 5.0)
+        log = []
+        events = [env.event() for _ in range(3)]
+
+        def start():
+            for name, event in zip("abc", events):
+                self._waiter(env, guards, log, name, event)
+                yield 1.0
+
+        def serve_b():
+            yield 1.5
+            events[1].succeed()
+
+        env.process(start())
+        env.process(serve_b())
+        env.run()
+        assert log == [(1.5, "b", False), (5.0, "a", True), (7.0, "c", True)]
+
+    def test_arm_again_from_inside_a_firing(self, env):
+        guards = GuardQueue(env, 2.0)
+        log = []
+
+        def proc():
+            for _ in range(3):
+                event = env.event()
+                guards.arm(event)
+                value = yield event
+                log.append((env.now, value))
+
+        env.process(proc())
+        env.run()
+        assert log == [(2.0, EXPIRED), (4.0, EXPIRED), (6.0, EXPIRED)]
+        assert not guards._guards
+
+    def test_interrupt_while_guarded_handler_cancels(self, env):
+        guards = GuardQueue(env, 3.0)
+        log = []
+
+        def victim():
+            event = env.event()
+            guard = guards.arm(event)
+            try:
+                yield event
+            except Interrupt as interrupt:
+                guards.cancel(guard)
+                log.append((env.now, interrupt.cause))
+            yield 10.0
+            log.append((env.now, "slept"))
+
+        def attacker(target):
+            yield 1.0
+            target.interrupt("kill")
+
+        env.process(attacker(env.process(victim())))
+        env.run()
+        assert log == [(1.0, "kill"), (11.0, "slept")]
+
+    def test_stale_tick_resumes_nothing(self, env):
+        guards = GuardQueue(env, 4.0)
+        log = []
+        event = env.event()
+        self._waiter(env, guards, log, "a", event)
+
+        def serve():
+            yield 1.0
+            event.succeed()
+
+        env.process(serve())
+        env.run(until=2.0)
+        assert log == [(1.0, "a", False)] and not guards._guards
+        assert env.peek() == 4.0  # the stale tick is still on the calendar
+        processed = env.events_processed
+        env.run()
+        assert log == [(1.0, "a", False)]
+        assert env.now == 4.0 and env.events_processed == processed + 1
+        assert env.peek() == float("inf")
+
+    def test_guard_outliving_its_processed_event_raises(self, env):
+        guards = GuardQueue(env, 4.0)
+        log = []
+        event = env.event()
+        self._waiter(env, guards, log, "a", event, cancel=False)
+
+        def serve():
+            yield 1.0
+            event.succeed()
+
+        env.process(serve())
+        with pytest.raises(SimulationError, match="processed event"):
+            env.run()
+        assert log == [(1.0, "a", False)]
+
+    def test_arm_outside_a_process_raises(self, env):
+        with pytest.raises(SimulationError):
+            GuardQueue(env, 1.0).arm(env.event())
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_invalid_delay_rejected(self, env, delay):
+        with pytest.raises(SimulationError):
+            GuardQueue(env, delay)

@@ -437,20 +437,35 @@ class TestStreamedWorkload:
             if len(queue) > peak[0]:
                 peak[0] = len(queue)
 
+        # Guard timers live in GuardQueue FIFOs, not the heap: track the
+        # longest FIFO too, dead guards included.
+        guard_peak = [0]
+        arm = engine.GuardQueue.arm
+
+        def counting_arm(guards, event):
+            guard = arm(guards, event)
+            if len(guards._guards) > guard_peak[0]:
+                guard_peak[0] = len(guards._guards)
+            return guard
+
         monkeypatch.setattr(engine, "heappush", counting_heappush)
+        monkeypatch.setattr(engine.GuardQueue, "arm", counting_arm)
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
                                     "serverless")
         peaks = {}
+        guard_peaks = {}
         for scale in (0.006, 0.02):
-            peak[0] = 0
+            peak[0] = guard_peak[0] = 0
             workload = standard_workload("w-1m", seed=SEED, scale=scale)
             result = ServingBenchmark(seed=SEED).run(
                 deployment, workload, workload_scale=scale)
             assert result.streaming
             peaks[scale] = peak[0]
-        # Same rates, 3.3x the requests.  Tombstones count: leaving each
-        # request's 300 s deadline timer uncancelled grows the peak ~3x.
+            guard_peaks[scale] = guard_peak[0]
+        # Same rates, 3.3x the requests.  Tombstones and dead guards
+        # count: leaving a timer uncancelled grows its peak with the trace.
         assert peaks[0.02] <= 1.25 * peaks[0.006]
+        assert guard_peaks[0.02] <= 1.25 * guard_peaks[0.006]
 
 
 class TestExactCapacity:
