@@ -15,6 +15,7 @@ on the typical cold start: the image is normally already on the host.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.sim import RandomStreams
 
@@ -45,9 +46,17 @@ class ContainerRegistry:
         Returns 0 when the host already caches the image, otherwise the
         time to pull and unpack the image.
         """
+        return self.pull_draw(image_size_mb, rng, stream)()
+
+    def pull_draw(self, image_size_mb: float, rng: RandomStreams,
+                  stream: str = "registry") -> Callable[[], float]:
+        """:meth:`pull_time` bound to one image size: one uniform per call."""
         if image_size_mb < 0:
             raise ValueError("image_size_mb must be non-negative")
-        draw = rng.uniform(stream, 0.0, 1.0)
-        if draw >= self.first_pull_probability:
-            return 0.0
-        return self.unpack_overhead_s + image_size_mb / self.pull_bandwidth_mbps
+        draw = rng.uniform_draw(stream, 0.0, 1.0)
+        probability = self.first_pull_probability
+        penalty = self.unpack_overhead_s + image_size_mb / self.pull_bandwidth_mbps
+
+        def pull_time() -> float:
+            return 0.0 if draw() >= probability else penalty
+        return pull_time

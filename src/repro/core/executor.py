@@ -50,6 +50,7 @@ class Executor:
     #: the platform ledger counts a client-side batch as one request.
     batched_surplus: int = field(default=0, init=False)
     _commit = None  # bound recorder.commit, cached for the hot callback
+    _pick = None  # bound request-pool draw handle (one per run)
     #: Client-side retry policy (None unless the config enables retries).
     _retry: Optional[RetryPolicy] = None
 
@@ -73,6 +74,7 @@ class Executor:
             self.recorder = OutcomeRecorder(capacity)
         self._commit = self.recorder.commit
         self._retry = RetryPolicy.from_config(self.platform.config)
+        self._pick = self.request_pool.pick_draw(self.rng)
         self.platform.outcome_sink = self._late_commit
         self.platform.start()
         for client_id, trace in enumerate(self.workload.client_traces):
@@ -126,8 +128,7 @@ class Executor:
 
     def _payload_mb(self) -> float:
         config = self.platform.config
-        template = self.request_pool.pick(self.rng)
-        return template.payload_mb * config.samples_per_request
+        return self._pick().payload_mb * config.samples_per_request
 
     def _send_single(self, outcome: RequestOutcome) -> None:
         """Submit one request, recording its completion time when done.

@@ -63,11 +63,13 @@ class ServingPlatform(abc.ABC):
         self.config = deployment.config
         # The network model's fields, hoisted for the two per-request
         # transfer legs (the attribute/method chain cost more than the
-        # arithmetic).
+        # arithmetic), with the latency jitter bound as a draw handle.
         network = self.provider.network
-        self._net_latency_s = network.one_way_latency_s
         self._net_bandwidth = network.bandwidth_mbps
-        self._net_jitter_cv = network.jitter_cv
+        latency = network.one_way_latency_s
+        self._net_latency = (self.rng.lognormal_draw(
+            "network", latency, network.jitter_cv)
+            if network.jitter_cv > 0 else lambda: latency)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -104,11 +106,7 @@ class ServingPlatform(abc.ABC):
         to the outcome's network stage and returned for the caller to
         sleep.
         """
-        latency = self._net_latency_s
-        if self._net_jitter_cv > 0:
-            latency = self.rng.lognormal_around("network", latency,
-                                                self._net_jitter_cv)
-        duration = latency + payload_mb / self._net_bandwidth
+        duration = self._net_latency() + payload_mb / self._net_bandwidth
         breakdown = outcome.breakdown
         breakdown["network"] = breakdown.get("network", 0.0) + duration
         return duration

@@ -91,9 +91,16 @@ class PooledEndpointPlatform(ServingPlatform):
         #: Handler-process registry the injector picks kill victims
         #: from; None (skip the bookkeeping) when faults are off.
         self._track = self._in_service if self._injector is not None else None
-        # Per-run constants hoisted off the per-request path.
+        # Per-run constants hoisted off the per-request path, the jittered
+        # ones bound once as draw handles.
         self._handler_s = float(self._handler_overhead())
-        self._predict_s = self._service_time_s()
+        self._predict = self.rng.lognormal_sum_draw(
+            self.predict_stream, self._service_time_s(), _SERVICE_JITTER_CV)
+        self._bring_up_delay = self.rng.lognormal_draw(
+            self.scaleout_stream, self._launch_delay_s(), 0.15)
+        self._fault_draw = (self.rng.uniform_draw(REQUEST_FAULT_STREAM,
+                                                  0.0, 1.0)
+                            if self._error_rate else None)
         self.policy = TargetUtilisationPolicy(
             target_per_instance=(self.config.target_per_instance
                                  or self._target_per_instance()),
@@ -243,9 +250,7 @@ class PooledEndpointPlatform(ServingPlatform):
         self._resize_workers()
 
     def _bring_up(self, record: PoolInstance):
-        delay = self.rng.lognormal_around(
-            self.scaleout_stream, self._launch_delay_s(), 0.15)
-        yield delay
+        yield self._bring_up_delay()
         if not record.alive:
             # Fault-injected kill landed while the instance was warming;
             # the bring-up completes into nothing.
@@ -273,8 +278,7 @@ class PooledEndpointPlatform(ServingPlatform):
                 outcome.finish(self.env.now, success=False, error="shed")
                 self.meter.record_shed()
                 return outcome
-            if self._error_rate and self.rng.uniform(
-                    REQUEST_FAULT_STREAM, 0.0, 1.0) < self._error_rate:
+            if self._error_rate and self._fault_draw() < self._error_rate:
                 outcome.finish(self.env.now, success=False,
                                error="transient_error")
                 self.meter.record_failed()
@@ -304,9 +308,7 @@ class PooledEndpointPlatform(ServingPlatform):
             process = self.env.active_process
             track[process] = outcome
         try:
-            predict = self.rng.lognormal_sum(
-                self.predict_stream, self._predict_s, _SERVICE_JITTER_CV,
-                max(outcome.inferences, 1))
+            predict = self._predict(max(outcome.inferences, 1))
             # With the handler off the worker (GPU servers) the HTTP
             # handling runs on the host CPUs and does not occupy the
             # accelerator; otherwise it competes with inference for the

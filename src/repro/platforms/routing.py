@@ -472,7 +472,9 @@ class MultiRegionPlatform(ServingPlatform):
             CircuitBreaker(config.breaker_failure_threshold,
                            config.breaker_cooldown_s, self.rng)
             for _ in self.backends]
-        self._weighted = config.routing_policy == "weighted"
+        #: Weighted routing's draw handle; ``None`` for priority routing.
+        self._route_draw = (self.rng.uniform_draw(ROUTE_STREAM, 0.0, 1.0)
+                            if config.routing_policy == "weighted" else None)
         self._hedge = (config.hedge_percentile > 0.0
                        and len(self.backends) >= 2)
         self._quantile = LatencyQuantile(config.hedge_percentile,
@@ -558,9 +560,8 @@ class MultiRegionPlatform(ServingPlatform):
                          if snap.index != exclude]
             if not snapshots:
                 return None
-        if self._weighted:
-            draw = self.rng.uniform(ROUTE_STREAM, 0.0, 1.0)
-            return choose_weighted(snapshots, draw)
+        if self._route_draw is not None:
+            return choose_weighted(snapshots, self._route_draw())
         return choose_priority(snapshots)
 
     def _utilisation(self) -> float:

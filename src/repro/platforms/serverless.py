@@ -117,25 +117,39 @@ class ServerlessPlatform(ServingPlatform):
             self.config.request_timeout_s or _FUNCTION_TIMEOUT_S))
         self._keep_alives = GuardQueue(env, traits.keep_alive_s)
         # Per-run constants, hoisted off the per-request path: the profile
-        # lookups are pure functions of the (fixed) deployment, and the
-        # method chains cost more than the arithmetic they guard.
-        profiles = self.profiles
+        # lookups are pure functions of the (fixed) deployment, so each
+        # jittered duration is bound once as a draw handle.  A stage with
+        # a non-positive mean lasts 0 s and draws nothing.
+        profiles, rng = self.profiles, self.rng
+        key = (self.provider.name, self.runtime.key, self.model.name)
+        memory_gb = self.config.memory_gb
         self._handler_s = self._handler_overhead()
-        self._warm_predict_s = profiles.warm_predict_time(
-            self.provider.name, self.runtime.key, self.model.name,
-            self.config.memory_gb)
-        self._cold_predict_s = profiles.cold_predict_time(
-            self.provider.name, self.runtime.key, self.model.name,
-            self.config.memory_gb)
-        self._import_time_s = profiles.import_time(
-            self.provider.name, self.runtime.key, self.model.name)
-        self._load_time_s = profiles.load_time(
-            self.provider.name, self.runtime.key, self.model.name,
-            self.config.memory_gb)
-        self._image_mb = (self.runtime.image_size_mb(self.provider.name)
-                          + self.config.extra_container_mb)
-        self._download_mb = (self.model.download_mb
-                             + self.config.extra_download_mb)
+
+        def stage(stream, mean, cv=_STAGE_JITTER_CV):
+            return (rng.lognormal_draw(stream, mean, cv) if mean > 0
+                    else lambda: 0.0)
+        image_mb = (self.runtime.image_size_mb(self.provider.name)
+                    + self.config.extra_container_mb)
+        self._pull = self.provider.registry.pull_draw(image_mb, rng)
+        self._sandbox = stage("sandbox", traits.sandbox_setup_s)
+        self._import = stage("import", profiles.import_time(*key))
+        storage = self.provider.storage
+        download_mb = self.model.download_mb + self.config.extra_download_mb
+        self._download = (stage("storage", storage.download_time(download_mb),
+                                storage.jitter_cv)
+                          if download_mb > 0 else None)
+        self._load = stage("load", profiles.load_time(*key, memory_gb))
+        self._cold_predict = stage(
+            "predict", profiles.cold_predict_time(*key, memory_gb),
+            _PREDICT_JITTER_CV)
+        warm_predict_s = profiles.warm_predict_time(*key, memory_gb)
+        self._warm_predict = stage("predict", warm_predict_s,
+                                   _PREDICT_JITTER_CV)
+        self._predict_sum = (rng.lognormal_sum_draw(
+            "predict", warm_predict_s, _PREDICT_JITTER_CV)
+            if warm_predict_s > 0 else None)
+        self._fault_draw = (rng.uniform_draw(REQUEST_FAULT_STREAM, 0.0, 1.0)
+                            if self._error_rate else None)
 
     # ------------------------------------------------------------------ API
     def start(self) -> None:
@@ -176,8 +190,7 @@ class ServerlessPlatform(ServingPlatform):
                 outcome.finish(self.env.now, success=False, error="shed")
                 self.meter.record_shed()
                 return outcome
-            if self._error_rate and self.rng.uniform(
-                    REQUEST_FAULT_STREAM, 0.0, 1.0) < self._error_rate:
+            if self._error_rate and self._fault_draw() < self._error_rate:
                 outcome.finish(self.env.now, success=False,
                                error="transient_error")
                 self.meter.record_failed()
@@ -272,30 +285,20 @@ class ServerlessPlatform(ServingPlatform):
         self.pool.kill(instance)
 
     # -------------------------------------------------------------- instance
-    def _jitter(self, value: float, cv: float, stream: str) -> float:
-        if value <= 0:
-            return 0.0
-        return self.rng.lognormal_around(stream, value, cv)
-
     def _cold_start_pipeline(self, instance: PoolInstance):
         """Run the sandbox / import / download / load pipeline."""
         stages = _ColdStages()
-        pull = self.provider.registry.pull_time(self._image_mb, self.rng)
-        stages.sandbox_s = pull + self._jitter(
-            self._traits.sandbox_setup_s, _STAGE_JITTER_CV, "sandbox")
+        stages.sandbox_s = self._pull() + self._sandbox()
         yield stages.sandbox_s
 
-        stages.import_s = self._jitter(
-            self._import_time_s, _STAGE_JITTER_CV, "import")
+        stages.import_s = self._import()
         yield stages.import_s
 
-        if self._download_mb > 0:
-            stages.download_s = self.provider.storage.download_time(
-                self._download_mb, self.rng)
+        if self._download is not None:
+            stages.download_s = self._download()
             yield stages.download_s
 
-        stages.load_s = self._jitter(
-            self._load_time_s, _STAGE_JITTER_CV, "load")
+        stages.load_s = self._load()
         yield stages.load_s
         instance.cold_stages = stages
 
@@ -381,15 +384,11 @@ class ServerlessPlatform(ServingPlatform):
         # in the same (possibly batched) invocation run at the warm speed.
         if instance.first_predict_pending:
             instance.first_predict_pending = False
-            predict = self._jitter(self._cold_predict_s, _PREDICT_JITTER_CV,
-                                   "predict")
+            predict = self._cold_predict()
         else:
-            predict = self._jitter(self._warm_predict_s, _PREDICT_JITTER_CV,
-                                   "predict")
-        if inferences > 1 and self._warm_predict_s > 0:
-            predict += self.rng.lognormal_sum(
-                "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
-                inferences - 1)
+            predict = self._warm_predict()
+        if inferences > 1 and self._predict_sum is not None:
+            predict += self._predict_sum(inferences - 1)
         yield handler + predict
 
         breakdown[Stage.HANDLER] = handler

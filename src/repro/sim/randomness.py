@@ -1,4 +1,4 @@
-"""Reproducible random number streams with block-buffered draws.
+"""Reproducible random number streams served through per-site draw handles.
 
 Every stochastic component of the simulation (arrival processes, latency
 jitter, scheduler placement noise, ...) draws from its own named stream so
@@ -6,14 +6,19 @@ that changing one component's consumption of randomness does not perturb
 the others.  Streams are derived from a single experiment seed with
 ``numpy``'s ``SeedSequence.spawn``-style child seeding, keyed by name.
 
-Block buffering
----------------
+Variate sources and site handles
+--------------------------------
 Scalar draws through ``numpy.random.Generator`` pay ~1.4 us of ufunc
-dispatch each; at roughly three jitter draws per simulated request that
-was ~10% of a full run's wall-clock.  Each convenience method therefore
-pre-draws a block of *standard* variates per stream (standard normal /
-standard exponential / unit uniform / bounded integers) and serves the
-scaled values from a cursor, which amortises the dispatch cost ~10x.
+dispatch each, and a simulated request makes 4-7 of them.  So each
+(stream, family) pair owns one *variate source*: a lazily refilled
+iterator over blocks of *standard* variates (standard normal / standard
+exponential / unit uniform / bounded integers).  Hot call sites bind a
+*handle* once, when their platform is built (``lognormal_draw``,
+``lognormal_sum_draw``, ``uniform_draw``, ``choice_draw``): it validates
+and parameterises the distribution up front, draws nothing at bind
+time, and costs one closure call per draw.  The convenience methods
+(``lognormal_around``, ``uniform``, ...) serve the cold sites from the
+same sources, so handle and method draws may interleave on one stream.
 
 The served sequence is **bit-identical to scalar draws** at any block
 size, because ``numpy`` fills arrays with the same per-element samplers
@@ -24,20 +29,21 @@ applies internally.  Two caveats keep that guarantee:
 * a named stream must be used with a single draw family (which is how
   every call site in the simulator behaves — e.g. ``"storage"`` only
   ever draws lognormals, ``"request-pick"`` only bounded integers);
-* ``choice`` buffers are keyed by the bound ``n``; changing ``n``
-  mid-stream discards the remaining block (no current call site does).
+* ``choice`` sources are keyed by the bound ``n``; drawing one stream
+  with two bounds interleaves two blocks on its generator (no current
+  call site does).
 
-Accessing :meth:`stream` directly bypasses the buffers; mixing raw
+Accessing :meth:`stream` directly bypasses the sources; mixing raw
 access and convenience draws on the *same* name forfeits the
-scalar-equivalence (the underlying generator runs ahead of the cursor).
+scalar-equivalence (the underlying generator runs ahead of the source).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from typing import Dict, List, Tuple
+from itertools import chain, islice
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +52,15 @@ __all__ = ["RandomStreams", "DEFAULT_BLOCK_SIZE"]
 #: Default number of standard variates pre-drawn per stream and family.
 DEFAULT_BLOCK_SIZE = 1024
 
-#: Environment override for the block size (1 disables buffering).
-_BLOCK_ENV = "REPRO_RNG_BLOCK"
+
+def _lognormal_mu_sigma(mean: float, cv: float) -> Tuple[float, float]:
+    """Validated ``(mu, sigma)`` of a lognormal with this mean and CV."""
+    if mean <= 0:
+        raise ValueError("lognormal mean must be positive")
+    if cv < 0:
+        raise ValueError("coefficient of variation must be >= 0")
+    sigma2 = math.log(1.0 + cv * cv)
+    return math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
 
 
 class RandomStreams:
@@ -57,26 +70,10 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
         if block_size is None:
-            block_size = int(os.environ.get(_BLOCK_ENV, DEFAULT_BLOCK_SIZE))
+            block_size = DEFAULT_BLOCK_SIZE
         self._block = max(1, int(block_size))
-        # Per-stream buffers of standard variates: name -> [values, cursor].
-        self._normals: Dict[str, list] = {}
-        self._exponentials: Dict[str, list] = {}
-        self._uniforms: Dict[str, list] = {}
-        # Bounded-integer buffers carry their bound: name -> [n, values, cursor].
-        self._integers: Dict[str, list] = {}
-        # Lognormal parameterisation cache: (mean, cv) -> (mu, sigma).
-        self._lognormal_params: Dict[Tuple[float, float], Tuple[float, float]] = {}
-
-    @property
-    def seed(self) -> int:
-        """The base seed the streams are derived from."""
-        return self._seed
-
-    @property
-    def block_size(self) -> int:
-        """Number of variates pre-drawn per refill (1 = unbuffered)."""
-        return self._block
+        #: Variate sources: (name, family or choice bound) -> iterator.
+        self._sources: Dict[Tuple[str, Union[str, int]], Iterator] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating if needed) the generator for ``name``."""
@@ -86,131 +83,119 @@ class RandomStreams:
                 np.random.SeedSequence(entropy=self._seed, spawn_key=(key,)))
         return self._streams[name]
 
-    # Buffer refills -------------------------------------------------------
-    def _refill(self, buffers: Dict[str, list], name: str,
-                family: str) -> list:
-        """Pre-draw a fresh block of standard variates for one stream.
+    def _source(self, name: str, family: Union[str, int]) -> Iterator:
+        """The stream's source of standard variates for one family.
 
-        ``family`` is the ``Generator`` method producing the standard
-        variate ("standard_normal" / "standard_exponential" / "random");
-        it is resolved only here, once per block.
+        ``family`` is the ``Generator`` method producing the variate
+        ("standard_normal" / "standard_exponential" / "random"), or the
+        bound ``n`` of bounded integers.  The next block is drawn only
+        when the previous one is used up.
         """
-        buffer = [getattr(self.stream(name), family)(self._block).tolist(), 0]
-        buffers[name] = buffer
-        return buffer
+        source = self._sources.get((name, family))
+        if source is None:
+            generator, block = self.stream(name), self._block
+            if isinstance(family, int):
+                def refill():
+                    return generator.integers(0, family, size=block).tolist()
+            else:
+                method = getattr(generator, family)
 
-    def _next(self, buffers: Dict[str, list], name: str,
-              family: str) -> float:
-        """Serve one pre-drawn standard variate (refilling when drained)."""
-        buffer = buffers.get(name)
-        if buffer is None or buffer[1] >= len(buffer[0]):
-            buffer = self._refill(buffers, name, family)
-        value = buffer[0][buffer[1]]
-        buffer[1] += 1
-        return value
+                def refill():
+                    return method(block).tolist()
+            source = chain.from_iterable(iter(refill, None))
+            self._sources[(name, family)] = source
+        return source
 
-    def _next_integer(self, name: str, n: int) -> int:
-        buffer = self._integers.get(name)
-        if buffer is None or buffer[0] != n or buffer[2] >= len(buffer[1]):
-            buffer = [n, self.stream(name).integers(0, n, size=self._block).tolist(), 0]
-            self._integers[name] = buffer
-        value = buffer[1][buffer[2]]
-        buffer[2] += 1
-        return value
-
-    # Convenience draws -----------------------------------------------------
-    def exponential(self, name: str, mean: float) -> float:
-        """One exponential draw with the given mean from stream ``name``."""
-        if mean <= 0:
-            raise ValueError("exponential mean must be positive")
-        if self._block == 1:
-            return float(self.stream(name).exponential(mean))
-        return mean * self._next(self._exponentials, name,
-                                 "standard_exponential")
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform draw in ``[low, high)`` from stream ``name``."""
-        if high < low:
-            raise ValueError("uniform bounds must satisfy low <= high")
-        if self._block == 1:
-            return float(self.stream(name).uniform(low, high))
-        return low + (high - low) * self._next(self._uniforms, name, "random")
-
-    def _lognormal_mu_sigma(self, mean: float, cv: float) -> Tuple[float, float]:
-        key = (mean, cv)
-        params = self._lognormal_params.get(key)
-        if params is None:
-            sigma2 = math.log(1.0 + cv * cv)
-            params = (math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
-            self._lognormal_params[key] = params
-        return params
-
-    def lognormal_around(self, name: str, mean: float, cv: float) -> float:
-        """A lognormal draw with the given mean and coefficient of variation.
+    # Site handles (validated and parameterised once; no draw at bind) --------
+    def lognormal_draw(self, name: str, mean: float,
+                       cv: float) -> Callable[[], float]:
+        """Handle drawing lognormals with this mean and CV from ``name``.
 
         Latency jitter in the simulator is modelled as lognormal noise
         around a calibrated mean, which matches the heavy right tail seen
         in cloud measurements without producing negative values.
         """
-        if mean <= 0:
-            raise ValueError("lognormal mean must be positive")
-        if cv < 0:
-            raise ValueError("coefficient of variation must be >= 0")
+        mu, sigma = _lognormal_mu_sigma(mean, cv)
         if cv == 0:
-            return float(mean)
-        mu, sigma = self._lognormal_mu_sigma(mean, cv)
-        if self._block == 1:
-            return float(self.stream(name).lognormal(mean=mu, sigma=sigma))
-        return math.exp(mu + sigma * self._next(self._normals, name,
-                                                "standard_normal"))
+            value = float(mean)
+
+            def lognormal_around():
+                return value
+            return lognormal_around
+        normal, exp = self._source(name, "standard_normal").__next__, math.exp
+
+        def lognormal_around():
+            return exp(mu + sigma * normal())
+        return lognormal_around
+
+    def lognormal_sum_draw(self, name: str, mean: float,
+                           cv: float) -> Callable[[int], float]:
+        """Handle summing ``count`` lognormal draws (batched jitter).
+
+        ``handle(count)`` equals ``count`` calls of the
+        :meth:`lognormal_draw` handle summed — same stream, same
+        sequence, same sequential float additions.  Used for
+        multi-inference invocations (client-side batching, Figure 12d).
+        """
+        mu, sigma = _lognormal_mu_sigma(mean, cv)
+        normals, exp = self._source(name, "standard_normal"), math.exp
+        value = float(mean)
+
+        def lognormal_sum(count: int) -> float:
+            if count <= 0:
+                raise ValueError("count must be >= 1")
+            if cv == 0:
+                return value * count
+            total = 0.0
+            for z in islice(normals, count):
+                total += exp(mu + sigma * z)
+            return total
+        return lognormal_sum
+
+    def uniform_draw(self, name: str, low: float,
+                     high: float) -> Callable[[], float]:
+        """Handle drawing uniforms in ``[low, high)`` from ``name``."""
+        if high < low:
+            raise ValueError("uniform bounds must satisfy low <= high")
+        unit, span = self._source(name, "random").__next__, high - low
+
+        def uniform():
+            return low + span * unit()
+        return uniform
+
+    def choice_draw(self, name: str, n: int) -> Callable[[], int]:
+        """Handle drawing uniform integers in ``[0, n)`` from ``name``."""
+        if n <= 0:
+            raise ValueError("choice requires n >= 1")
+        integer = self._source(name, int(n)).__next__
+
+        def choice():
+            return integer()
+        return choice
+
+    # Convenience draws for cold sites (same sources as the handles) ----------
+    def exponential(self, name: str, mean: float) -> float:
+        """One exponential draw with the given mean from stream ``name``."""
+        if mean <= 0:
+            raise ValueError("exponential mean must be positive")
+        return mean * next(self._source(name, "standard_exponential"))
+
+    def uniform(self, name: str, low: float, high: float) -> float:
+        """One uniform draw in ``[low, high)`` from stream ``name``."""
+        return self.uniform_draw(name, low, high)()
+
+    def lognormal_around(self, name: str, mean: float, cv: float) -> float:
+        """One draw of the :meth:`lognormal_draw` handle."""
+        return self.lognormal_draw(name, mean, cv)()
 
     def lognormal_sum(self, name: str, mean: float, cv: float,
                       count: int) -> float:
-        """The sum of ``count`` lognormal draws (batched jitter).
-
-        Equivalent to summing ``count`` calls to :meth:`lognormal_around`
-        — same stream, same sequence, same sequential float additions —
-        but parameterised once and served straight off the pre-drawn
-        normal blocks.  Used for multi-inference invocations
-        (client-side batching, Figure 12d).
-        """
-        if count <= 0:
-            raise ValueError("count must be >= 1")
-        if mean <= 0:
-            raise ValueError("lognormal mean must be positive")
-        if cv < 0:
-            raise ValueError("coefficient of variation must be >= 0")
-        if cv == 0:
-            return float(mean) * count
-        if self._block == 1:
-            total = 0.0
-            for _ in range(count):
-                total += self.lognormal_around(name, mean, cv)
-            return total
-        mu, sigma = self._lognormal_mu_sigma(mean, cv)
-        buffers = self._normals
-        buffer = buffers.get(name)
-        exp = math.exp
-        total = 0.0
-        remaining = count
-        while remaining:
-            if buffer is None or buffer[1] >= len(buffer[0]):
-                buffer = self._refill(buffers, name, "standard_normal")
-            values, position = buffer
-            take = min(remaining, len(values) - position)
-            for z in values[position:position + take]:
-                total += exp(mu + sigma * z)
-            buffer[1] = position + take
-            remaining -= take
-        return total
+        """One call of the :meth:`lognormal_sum_draw` handle."""
+        return self.lognormal_sum_draw(name, mean, cv)(count)
 
     def choice(self, name: str, n: int) -> int:
         """A uniform integer in ``[0, n)`` from stream ``name``."""
-        if n <= 0:
-            raise ValueError("choice requires n >= 1")
-        if self._block == 1:
-            return int(self.stream(name).integers(0, n))
-        return self._next_integer(name, n)
+        return self.choice_draw(name, n)()
 
     def fork(self, offset: int) -> "RandomStreams":
         """A new family with a seed derived from this one (for replicas)."""

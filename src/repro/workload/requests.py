@@ -9,7 +9,7 @@ prediction results yet cheap enough to keep the client side fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 from repro.sim import RandomStreams
 
@@ -69,7 +69,14 @@ class RequestPool:
 
     def pick(self, rng: RandomStreams, stream: str = "request-pick") -> RequestTemplate:
         """Pick one template uniformly at random (as the paper's clients do)."""
-        return self._templates[rng.choice(stream, len(self._templates))]
+        return self.pick_draw(rng, stream)()
+
+    def pick_draw(self, rng: RandomStreams, stream: str = "request-pick"
+                  ) -> Callable[[], RequestTemplate]:
+        """:meth:`pick` bound once: one ``choice`` draw per call."""
+        templates = self._templates
+        index = rng.choice_draw(stream, len(templates))
+        return lambda: templates[index()]
 
     def mean_payload_mb(self) -> float:
         """Average payload size over the pool."""

@@ -2,7 +2,7 @@
 
 The columnar rework leans on two exact-equivalence guarantees:
 
-* block-buffered random draws serve the *same per-stream sequence* as
+* block-drawn random variates serve the *same per-stream sequence* as
   scalar draws, at any block size (``RandomStreams`` pre-draws standard
   variates and scales them with the exact operations numpy applies
   internally);
@@ -14,6 +14,7 @@ fixed-seed w-40 cell — if any draw, any completion time, or any stage
 attribution shifts by one ULP, the hashes diverge.
 """
 
+import math
 import pickle
 
 import pytest
@@ -75,26 +76,40 @@ class TestBlockSizeInvariance:
             assert _run_hash(deployment, workload, block_size) == unbuffered
 
     def test_stream_sequences_identical_at_any_block_size(self):
-        for block_size in (3, 256):
-            reference = RandomStreams(SEED, block_size=1)
+        """Handle and method draws, interleaved on one stream, equal raw
+        ``numpy`` scalar draws at any block size (block 1 included: it
+        has no scalar branch of its own, so the raw generator is the
+        reference)."""
+        sigma2 = math.log(1.0 + 0.08 * 0.08)
+        mu, sigma = math.log(0.05) - sigma2 / 2.0, math.sqrt(sigma2)
+        for block_size in (1, 3, 1024):
+            raw = RandomStreams(SEED)
             streams = RandomStreams(SEED, block_size=block_size)
-            for _ in range(600):
-                assert (streams.lognormal_around("jitter", 0.05, 0.08)
-                        == reference.lognormal_around("jitter", 0.05, 0.08))
+            lognormal = streams.lognormal_draw("jitter", 0.05, 0.08)
+            uniform = streams.uniform_draw("pull", 0.0, 1.0)
+            choice = streams.choice_draw("pick", 200)
+            for index in range(2500):
+                handle = index % 2 == 0
+                assert ((lognormal() if handle else
+                         streams.lognormal_around("jitter", 0.05, 0.08))
+                        == raw.stream("jitter").lognormal(mu, sigma))
                 assert (streams.exponential("dwell", 2.0)
-                        == reference.exponential("dwell", 2.0))
-                assert (streams.uniform("pull", 0.0, 1.0)
-                        == reference.uniform("pull", 0.0, 1.0))
-                assert (streams.choice("pick", 200)
-                        == reference.choice("pick", 200))
+                        == raw.stream("dwell").exponential(2.0))
+                assert ((uniform() if handle else
+                         streams.uniform("pull", 0.0, 1.0))
+                        == raw.stream("pull").uniform(0.0, 1.0))
+                assert ((choice() if handle else streams.choice("pick", 200))
+                        == raw.stream("pick").integers(0, 200))
 
     def test_lognormal_sum_matches_repeated_draws(self):
         summed = RandomStreams(SEED)
+        handle = RandomStreams(SEED).lognormal_sum_draw("x", 0.1, 0.2)
         repeated = RandomStreams(SEED)
         for count in (1, 2, 5):
             expected = sum(repeated.lognormal_around("x", 0.1, 0.2)
                            for _ in range(count))
             assert summed.lognormal_sum("x", 0.1, 0.2, count) == expected
+            assert handle(count) == expected
 
 
 class TestSerialParallelEquality:
